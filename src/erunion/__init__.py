@@ -8,7 +8,6 @@ connectivity, validated against Monte-Carlo sampling and exact enumeration.
 
 __version__ = "0.1.0"
 
-from .backend import active_backend
 from .bounds import (BoundReport, NminResult, ProbBoundResult, UnionParams,
                      VarianceBounds, bound_report,
                      connectivity_probability_bound, expected_lambda2_bounds,
@@ -31,7 +30,6 @@ from .spectral import (EPS_ZERO, SPECTRAL_N_CEILING, lambda2,
 
 __all__ = [
     "__version__",
-    "active_backend",
     "BoundReport", "NminResult", "ProbBoundResult", "UnionParams", "VarianceBounds",
     "bound_report", "connectivity_probability_bound", "expected_lambda2_bounds",
     "lambda2_variance_bounds", "n_min", "n_min_asymptotic",

@@ -70,16 +70,8 @@ class BoundReport:
 
 
 def union_effective_params(params: ModelParams, num_graphs: int) -> UnionParams:
-    """p_hat = 1 - (1-p)^N evaluated through log1p/expm1 for stability."""
-    if not isinstance(num_graphs, int) or num_graphs < 1:
-        raise ValidationError(f"num_graphs must be a positive integer, got {num_graphs!r}")
-    log_q = math.log1p(-params.p)
-    q_hat = math.exp(num_graphs * log_q)
-    p_hat = -math.expm1(num_graphs * log_q)
-    if not 0.0 < p_hat < 1.0:
-        raise ValidationError(
-            f"effective probability degenerates in double precision "
-            f"(p={params.p}, N={num_graphs} gives p_hat={p_hat})")
+    """p_hat = 1 - (1-p)^N, see :meth:`ModelParams.effective_probabilities`."""
+    p_hat, q_hat = params.effective_probabilities(num_graphs)
     return UnionParams(base=params, num_graphs=num_graphs, p_hat=p_hat, q_hat=q_hat)
 
 
@@ -121,7 +113,8 @@ def lambda2_variance_bounds(u: UnionParams) -> VarianceBounds:
     hat = ModelParams(n, u.p_hat)
     m2 = eigenvalue_moment(hat, 2)
     lower_raw = m2 - eigenvalue_variances(hat).sigma2 * math.sqrt(n - 2) - (n * u.p_hat) ** 2
-    upper = m2 - _e_lambda2_lower_raw(n, u.p_hat, u.q_hat) ** 2
+    # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw lower bound, 0)^2
+    upper = m2 - max(_e_lambda2_lower_raw(n, u.p_hat, u.q_hat), 0.0) ** 2
     return VarianceBounds(lower=max(lower_raw, 0.0), upper=upper,
                           lower_clamped=lower_raw < 0.0)
 

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, tables
-from .backend import active_backend
 from .bounds import (bound_report, connectivity_probability_bound,
                      expected_lambda2_bounds, n_min, n_min_asymptotic,
                      union_effective_params)
@@ -38,9 +37,12 @@ def _dump_json(obj) -> None:
 def _default_workers() -> int:
     raw = os.environ.get("ERUNION_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"ERUNION_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _cmd_nmin(args) -> int:
@@ -116,8 +118,9 @@ def _cmd_tables(args) -> int:
 
 def _cmd_mc(args) -> int:
     params = ModelParams(args.n, args.p)
+    workers = args.workers if args.workers is not None else _default_workers()
     config = McConfig(params=params, num_graphs=args.N, trials=args.trials,
-                      master_seed=args.seed, workers=args.workers)
+                      master_seed=args.seed, workers=workers)
     estimate = run_mc(config)
     report = bound_report(params, args.N)
     if args.dump_graphs is not None:
@@ -132,7 +135,6 @@ def _cmd_mc(args) -> int:
     payload = {
         "config": {"n": args.n, "p": args.p, "num_graphs": args.N,
                    "trials": args.trials, "master_seed": args.seed},
-        "backend": active_backend(),
         "estimate": estimate.to_dict(),
         "bounds": {
             "e_lambda2_lower": report.e_lambda2_lower,
@@ -217,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--N", type=int, required=True)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--workers", type=int, default=_default_workers())
+    p_mc.add_argument("--workers", type=int, default=None,
+                      help="worker threads (default: ERUNION_WORKERS, else 1)")
     p_mc.add_argument("--json", action="store_true")  # JSON is already the output format
     p_mc.add_argument("--dump-graphs", metavar="DIR", default=None,
                       help="write each trial's union graph as an edge-list file (debugging)")

@@ -3,12 +3,14 @@
 Nodes are labelled 0..n-1. Admissible node pairs are enumerated in
 lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...; this order fixes
 both the sampling draw order and the bitmask encoding used by the
-enumeration oracle. Sampling draws one uniform per pair per constituent
-graph (no sparse shortcuts), so a sample is a pure function of
-(params, seed); see :mod:`erunion.rng` for the stream definition.
+enumeration oracle. Sampling draws one uniform per pair (no sparse
+shortcuts), and a union of N samples is drawn as one G(n, p_hat) sample, so
+a sample is a pure function of (params, N, seed); see :mod:`erunion.rng`
+for the stream definition.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import backend, rng
+from . import rng
 from .errors import DimensionError, ValidationError
 
 
@@ -43,6 +45,25 @@ class ModelParams:
     def num_pairs(self) -> int:
         """Number of admissible edges n(n-1)/2."""
         return self.n * (self.n - 1) // 2
+
+    def effective_probabilities(self, num_graphs: int) -> tuple[float, float]:
+        """(p_hat, q_hat) of a union of num_graphs samples: p_hat = 1 - (1-p)^N.
+
+        Evaluated through log1p/expm1 for stability; exactly (p, q) for one
+        graph. Raises :class:`ValidationError` when p_hat rounds to 1 in
+        double precision.
+        """
+        if not isinstance(num_graphs, int) or num_graphs < 1:
+            raise ValidationError(f"num_graphs must be a positive integer, got {num_graphs!r}")
+        if num_graphs == 1:
+            return self.p, self.q
+        log_q = math.log1p(-self.p)
+        p_hat = -math.expm1(num_graphs * log_q)
+        if not 0.0 < p_hat < 1.0:
+            raise ValidationError(
+                f"effective probability degenerates in double precision "
+                f"(p={self.p}, N={num_graphs} gives p_hat={p_hat})")
+        return p_hat, math.exp(num_graphs * log_q)
 
 
 @dataclass(frozen=True)
@@ -132,27 +153,24 @@ def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return lap
 
 
-def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample:
-    """Union of ``num_graphs`` independent G(n, p) samples from one stream.
-
-    Constituent k consumes draws k*M .. (k+1)*M-1 of the stream (M = number
-    of pairs), so ``sample_union(params, 1, seed)`` is the plain single-graph
-    sampler and trial t of a Monte-Carlo run is exactly
-    ``sample_union(params, N, rng.trial_seed(master_seed, t))``.
-    """
-    if not isinstance(num_graphs, int) or num_graphs < 1:
-        raise ValidationError(f"num_graphs must be a positive integer, got {num_graphs!r}")
+def sample_graph(params: ModelParams, seed: int) -> GraphSample:
+    """One G(n, p) sample: pair e is present iff draw e of the stream falls below p."""
     seeds = np.array([seed & rng.MASK], dtype=np.uint64)
-    mask = backend.union_mask_block(seeds, params.num_pairs,
-                                    num_graphs, rng.threshold_u64(params.p))[0]
+    mask = rng.edge_masks(seeds, params.num_pairs, params.p)[0]
     pairs = all_pairs(params.n)
     edges = frozenset(pairs[e] for e in np.flatnonzero(mask))
     return GraphSample(params.n, edges)
 
 
-def sample_graph(params: ModelParams, seed: int) -> GraphSample:
-    """One G(n, p) sample: each admissible pair drawn independently with probability p."""
-    return sample_union(params, 1, seed)
+def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample:
+    """Union of ``num_graphs`` independent G(n, p) samples, drawn as G(n, p_hat).
+
+    ``sample_union(params, 1, seed)`` is ``sample_graph(params, seed)``, and
+    trial t of a Monte-Carlo run is exactly
+    ``sample_union(params, N, rng.trial_seed(master_seed, t))``.
+    """
+    p_hat, _ = params.effective_probabilities(num_graphs)
+    return sample_graph(ModelParams(params.n, p_hat), seed)
 
 
 def union_graphs(samples: Sequence[GraphSample]) -> GraphSample:

@@ -2,7 +2,8 @@
 
 Trial t draws its own counter-based stream (see :mod:`erunion.rng`) so the
 sample set is a pure function of the configuration: results are bit-identical
-for any worker count, and trial t's union graph equals
+for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
+one draw per pair, so trial t's union graph equals
 ``sample_union(params, num_graphs, rng.trial_seed(master_seed, t))``.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend, rng
+from . import rng
 from .bounds import BoundReport, bound_report
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, laplacians_from_masks
@@ -25,9 +26,9 @@ Z95 = 1.959963984540054
 # lambda_min exactly and the eigensolver sits ~1e-16 off the closed form
 LAMBDA_MIN_SLACK = 1e-9
 
-# per-block budgets (draw count and eigensolver workspace); block size is a
-# pure function of the configuration so blocking never affects results
-_DRAW_BUDGET = 1 << 22
+# per-block eigensolver workspace (Laplacian entries); it also bounds the
+# block's draws, one per pair (< n^2/2). Block size is a pure function of
+# the configuration so blocking never affects results
 _EIG_BUDGET = 1 << 22
 
 
@@ -86,16 +87,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _block_size(n: int, num_pairs: int, num_graphs: int) -> int:
-    by_draws = max(1, _DRAW_BUDGET // max(1, num_pairs * num_graphs))
-    by_eig = max(1, _EIG_BUDGET // (n * n))
-    return min(by_draws, by_eig)
-
-
 def run_mc(config: McConfig) -> McEstimate:
     """Sample, union, and eigensolve every trial; aggregate deterministically.
 
-    Per trial: draw num_graphs edge masks from the trial's stream, OR them,
+    Per trial: draw the union's edge mask at p_hat from the trial's stream,
     assemble the Laplacian, take the second-smallest eigenvalue. Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
@@ -105,19 +100,19 @@ def run_mc(config: McConfig) -> McEstimate:
     if n > SPECTRAL_N_CEILING:
         raise CapabilityError(
             f"n={n} exceeds the dense eigensolver ceiling ({SPECTRAL_N_CEILING})")
+    p_hat, _ = params.effective_probabilities(config.num_graphs)
     num_pairs = params.num_pairs
-    threshold = rng.threshold_u64(params.p)
     lam_min = line_graph_lambda_min(n)
     trials = config.trials
 
     lambda2s = np.empty(trials)
-    block = _block_size(n, num_pairs, config.num_graphs)
+    block = max(1, _EIG_BUDGET // (n * n))
     starts = range(0, trials, block)
 
     def run_block(start: int) -> None:
         stop = min(start + block, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
-        masks = backend.union_mask_block(seeds, num_pairs, config.num_graphs, threshold)
+        masks = rng.edge_masks(seeds, num_pairs, p_hat)
         laps = laplacians_from_masks(masks, n)
         lambda2s[start:stop] = np.linalg.eigvalsh(laps)[:, 1]
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import union_effective_params
 from .errors import CapabilityError
 from .graphs import ModelParams, pair_arrays
 from .spectral import EPS_ZERO, line_graph_lambda_min
@@ -35,6 +34,7 @@ class ExactReport:
     expected_trace_lk: dict        # k in 1..4 -> E[trace(L^k)]
     eigenvalue_moments: dict       # k in 1..4 -> E[trace(L^k)] / (n-1)
     expected_lambda2: float
+    expected_lambda2_sq: float
     prob_connected: float
     prob_lambda2_ge_lambda_min: float
     weight_total: float
@@ -42,7 +42,7 @@ class ExactReport:
 
 @lru_cache(maxsize=8)
 def _structure(n: int):
-    """Per-bitmask edge counts, Laplacian power traces, and lambda_2 (p-free)."""
+    """Per-bitmask edge counts, Laplacian power traces, lambda_2 and lambda_2^2 (p-free)."""
     i, j = pair_arrays(n)
     m = len(i)
     masks = np.arange(1 << m, dtype=np.uint32)
@@ -68,7 +68,7 @@ def _structure(n: int):
         4: np.einsum("bii->b", l4),
     }
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
-    return edge_counts, traces, lambda2s
+    return edge_counts, traces, lambda2s, lambda2s * lambda2s
 
 
 def _weights(edge_counts: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
@@ -86,7 +86,7 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
     if n > ORACLE_N_CAP:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
-    edge_counts, traces, lambda2s = _structure(n)
+    edge_counts, traces, lambda2s, lambda2s_sq = _structure(n)
     w = _weights(edge_counts, params.num_pairs, params.p)
     lam_min = line_graph_lambda_min(n)
     return ExactReport(
@@ -95,6 +95,7 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
         expected_trace_lk={k: float(w @ traces[k]) for k in (1, 2, 3, 4)},
         eigenvalue_moments={k: float(w @ traces[k]) / (n - 1) for k in (1, 2, 3, 4)},
         expected_lambda2=float(w @ lambda2s),
+        expected_lambda2_sq=float(w @ lambda2s_sq),
         prob_connected=float(w[lambda2s > EPS_ZERO].sum()),
         prob_lambda2_ge_lambda_min=float(w[lambda2s >= lam_min - _LAMBDA_MIN_SLACK].sum()),
         weight_total=float(w.sum()),
@@ -103,5 +104,5 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
 
 def exact_union_report(params: ModelParams, num_graphs: int) -> ExactReport:
     """Exact report for a union of num_graphs samples: enumeration at p_hat."""
-    u = union_effective_params(params, num_graphs)
-    return enumerate_exact(ModelParams(params.n, u.p_hat))
+    p_hat, _ = params.effective_probabilities(num_graphs)
+    return enumerate_exact(ModelParams(params.n, p_hat))

@@ -15,7 +15,11 @@ master seed:
 
 A Bernoulli(p) event is realised as ``draw < threshold_u64(p)`` with
 ``threshold_u64(p) = floor(p * 2**64)``; the realised probability differs
-from ``p`` by less than 2**-64.
+from ``p`` by less than 2**-64. Edge masks (:func:`edge_masks`) spend one
+draw per node pair: pair ``e`` of the stream with seed ``s`` is present iff
+``draw(s, e) < threshold_u64(p)``. A union of N samples of G(n, p) is
+sampled as one G(n, p_hat) graph, p_hat = 1 - (1-p)^N, so it too costs one
+draw per pair (stream definition "v2").
 """
 from __future__ import annotations
 
@@ -71,3 +75,16 @@ def threshold_u64(p: float) -> int:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     # scaling a double by 2**64 is exact; int() truncates exactly
     return int(p * 2.0**64)
+
+
+def edge_masks(seeds: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
+    """Bernoulli(p) edge masks, one row per stream seed.
+
+    Entry ``[t, e]`` is 1 iff ``draw(seeds[t], e) < threshold_u64(p)``.
+    Returns a uint8 array of shape (len(seeds), num_pairs).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        counters = np.arange(1, num_pairs + 1, dtype=np.uint64) * _PHI_U64
+        draws = mix64_np(seeds[:, None] + counters[None, :])
+    return (draws < np.uint64(threshold_u64(p))).view(np.uint8)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erunion import (InfeasibleError, ModelParams, ValidationError,
-                     connectivity_probability_bound, expected_lambda2_bounds,
+                     bound_report, connectivity_probability_bound,
+                     exact_union_report, expected_lambda2_bounds,
                      lambda2_variance_bounds, line_graph_lambda_min, n_min,
                      n_min_asymptotic, order_stat_expectation_bounds,
                      paley_zygmund_bound, union_effective_params)
@@ -133,6 +134,29 @@ class TestVarianceBounds:
         vb = lambda2_variance_bounds(u)
         assert vb.lower <= vb.upper
         assert vb.lower >= 0.0
+
+
+class TestExactSoundnessGrid:
+    def test_bounds_hold_against_exact_enumeration(self):
+        # every analytic bound against exact values over n in 3..6, a p grid
+        # and union sizes up to 20; only floating-point rounding is allowed
+        for n in (3, 4, 5, 6):
+            for p in [k / 100 for k in range(1, 100)]:
+                params = ModelParams(n, p)
+                for num in (1, 2, 3, 5, 10, 20):
+                    try:
+                        rep = bound_report(params, num)
+                    except ValidationError:  # p_hat rounds to 1
+                        continue
+                    exact = exact_union_report(params, num)
+                    var = exact.expected_lambda2_sq - exact.expected_lambda2 ** 2
+                    tol = 1e-12 * max(1.0, exact.expected_lambda2_sq)
+                    where = (n, p, num)
+                    assert (rep.e_lambda2_lower - tol <= exact.expected_lambda2
+                            <= rep.e_lambda2_upper + tol), where
+                    assert rep.var_lambda2_lower - tol <= var <= rep.var_lambda2_upper + tol, where
+                    if rep.prob_lower is not None:
+                        assert rep.prob_lower <= exact.prob_lambda2_ge_lambda_min + tol, where
 
 
 class TestNmin:

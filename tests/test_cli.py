@@ -100,7 +100,7 @@ class TestMc:
                                "--trials", "5000", "--seed", "7")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"config", "backend", "estimate", "bounds"}
+        assert set(payload) == {"config", "estimate", "bounds"}
         assert "workers" not in payload["config"]
         est = payload["estimate"]
         b = payload["bounds"]
@@ -138,6 +138,15 @@ class TestMc:
         monkeypatch.delenv("ERUNION_WORKERS")
         _, out_plain, _ = run_cli(capsys, *args)
         assert out_env == out_plain
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
+    def test_bad_worker_env_is_a_domain_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ERUNION_WORKERS", raw)
+        code, out, err = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "1",
+                                 "--trials", "5", "--seed", "2")
+        assert code == 2
+        assert out == ""
+        assert "ERUNION_WORKERS" in err
 
     def test_dump_graphs_round_trip(self, capsys, tmp_path):
         outdir = tmp_path / "graphs"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erunion import (DimensionError, GraphSample, ModelParams, ValidationError,
-                     all_pairs, backend, is_connected_bfs, lambda2, laplacian,
+                     all_pairs, is_connected_bfs, lambda2, laplacian,
                      read_edgelist, rng, sample_graph, sample_union,
                      union_graphs, write_edgelist)
 from erunion.spectral import EPS_ZERO
@@ -53,30 +53,27 @@ class TestSampling:
         assert sample_union(params, 1, 4242) == sample_graph(params, 4242)
 
     def test_union_sampler_matches_explicit_union_of_constituents(self):
-        # constituent k of a union stream consumes draws k*M..(k+1)*M-1
+        # stream definition v2: pair e of a union stream is present iff its
+        # single draw mix64(seed + (e+1)*PHI) falls below threshold_u64(p_hat)
         params = ModelParams(7, 0.3)
-        seed, num = 777, 4
-        m = params.num_pairs
-        thr = rng.threshold_u64(params.p)
+        seed = 777
         pairs = all_pairs(params.n)
-        parts = []
-        for k in range(num):
-            draws = [rng.mix64((seed + (k * m + e + 1) * rng.PHI) & rng.MASK)
-                     for e in range(m)]
-            edges = [pairs[e] for e, d in enumerate(draws) if d < thr]
-            parts.append(GraphSample.from_edges(params.n, edges))
-        assert union_graphs(parts) == sample_union(params, num, seed)
+        for num in (1, 4):
+            p_hat = -math.expm1(num * math.log1p(-params.p)) if num > 1 else params.p
+            thr = rng.threshold_u64(p_hat)
+            edges = [pairs[e] for e in range(params.num_pairs)
+                     if rng.mix64((seed + (e + 1) * rng.PHI) & rng.MASK) < thr]
+            assert GraphSample.from_edges(params.n, edges) == sample_union(params, num, seed)
 
     def test_per_edge_frequency_within_binomial_band(self):
         # invariant: frequency inside the exact 5-sigma band around p
         params = ModelParams(10, 0.5)
         trials = 1_000_000
-        thr = rng.threshold_u64(params.p)
         counts = np.zeros(params.num_pairs, dtype=np.int64)
         step = 100_000
         for start in range(0, trials, step):
             seeds = rng.trial_seeds_np(20240817, start, step)
-            masks = backend.union_mask_block(seeds, params.num_pairs, 1, thr)
+            masks = rng.edge_masks(seeds, params.num_pairs, params.p)
             counts += masks.sum(axis=0, dtype=np.int64)
         freq = counts / trials
         sigma = math.sqrt(params.p * params.q / trials)
@@ -84,14 +81,16 @@ class TestSampling:
         assert np.all(np.abs(freq - params.p) <= 0.002)
 
     def test_union_edge_frequency_matches_effective_probability(self):
-        # per-edge frequency of a 50-fold union ~ 1 - 0.9**50
+        # per-edge frequency of a literal 50-fold union ~ 1 - 0.9**50; the
+        # constituents are single-graph masks from disjoint seed ranges
         params = ModelParams(10, 0.1)
-        trials = 20_000
-        p_hat = -math.expm1(50 * math.log1p(-params.p))
+        trials, num = 20_000, 50
+        p_hat = -math.expm1(num * math.log1p(-params.p))
         assert p_hat == pytest.approx(0.99484625, abs=1e-6)
-        seeds = rng.trial_seeds_np(5150, 0, trials)
-        masks = backend.union_mask_block(seeds, params.num_pairs, 50,
-                                         rng.threshold_u64(params.p))
+        masks = np.zeros((trials, params.num_pairs), dtype=np.uint8)
+        for k in range(num):
+            seeds = rng.trial_seeds_np(5150, k * trials, trials)
+            masks |= rng.edge_masks(seeds, params.num_pairs, params.p)
         freq = masks.mean(axis=0)
         sigma = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert np.all(np.abs(freq - p_hat) <= 5 * sigma)

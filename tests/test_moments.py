@@ -92,11 +92,11 @@ class TestEigenvalueMoment:
 
     def test_expected_trace_by_monte_carlo(self):
         # E[trace L] = n(n-1)p, checked by sampling: trace = 2 * edge count
-        from erunion import backend, rng
+        from erunion import rng
         n, p, trials = 10, 0.3, 20_000
         num_pairs = n * (n - 1) // 2
         seeds = rng.trial_seeds_np(606, 0, trials)
-        masks = backend.union_mask_block(seeds, num_pairs, 1, rng.threshold_u64(p))
+        masks = rng.edge_masks(seeds, num_pairs, p)
         mean_trace = 2.0 * masks.sum() / trials
         se = 2.0 * math.sqrt(num_pairs * p * (1 - p) / trials)
         assert abs(mean_trace - n * (n - 1) * p) <= 5 * se

@@ -8,6 +8,7 @@ from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      lambda2, lambda2_variance_bounds, laplacian,
                      line_graph_lambda_min, run_mc, sample_union, sweep,
                      union_effective_params, wilson_interval)
+from erunion import rng
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
 
@@ -32,6 +33,14 @@ class TestDegenerateAndErrors:
     def test_capability_ceiling(self):
         with pytest.raises(CapabilityError):
             run_mc(McConfig(ModelParams(2001, 0.5), 1, 10, 0))
+
+    def test_degenerate_effective_probability_fails_before_sampling(self, monkeypatch):
+        # p_hat = 1 - 0.5**100 rounds to 1.0 in double precision
+        def no_sampling(*args):
+            raise AssertionError("sampled before validating p_hat")
+        monkeypatch.setattr(rng, "edge_masks", no_sampling)
+        with pytest.raises(ValidationError):
+            run_mc(McConfig(ModelParams(10, 0.5), num_graphs=100, trials=10, master_seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -82,6 +91,14 @@ class TestAgainstExactValues:
         exact = enumerate_exact(params).prob_connected
         lo, hi = wilson_interval(round(est.prob_connected * est.trials), est.trials)
         assert lo <= exact <= hi
+
+    def test_paper_scale_union_in_bounded_memory(self):
+        # Table-1 cell n=100, p=1e-5, N_min=110539: one draw per pair keeps a
+        # trial at 4950 draws however many graphs the union holds
+        params = ModelParams(100, 1e-5)
+        est = run_mc(McConfig(params, 110539, trials=64, master_seed=110539))
+        lo, hi = expected_lambda2_bounds(union_effective_params(params, 110539))
+        assert lo <= est.mean_lambda2 <= hi
 
     def test_reference_probability_row_validated(self):
         # 50-fold union at (n=50, p=0.1): certified lower bound is 0.810

@@ -1,9 +1,12 @@
 """Exact enumeration: weights, hand-checkable values, and union equivalence."""
+import numpy as np
 import pytest
 
-from erunion import (CapabilityError, McConfig, ModelParams, enumerate_exact,
-                     exact_union_report, expected_lambda2_bounds, run_mc,
+from erunion import (CapabilityError, ModelParams, enumerate_exact,
+                     exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
+from erunion.graphs import laplacians_from_masks
+from erunion.spectral import EPS_ZERO
 
 
 class TestWeights:
@@ -71,10 +74,20 @@ class TestUnionReports:
     def test_union_equivalence_against_literal_unions(self):
         # Monte Carlo of literal 3-graph unions lands inside the Wilson
         # interval around the enumeration value at the effective probability
+        # interval around the enumeration value at the effective probability;
+        # constituent k draws single-graph masks from its own seed range
         params = ModelParams(4, 0.3)
         exact = exact_union_report(params, 3)
-        est = run_mc(McConfig(params, num_graphs=3, trials=1_000_000, master_seed=77))
-        lo, hi = wilson_interval(round(est.prob_connected * est.trials), est.trials)
+        trials, chunk, num = 1_000_000, 100_000, 3
+        connected = 0
+        for start in range(0, trials, chunk):
+            masks = np.zeros((chunk, params.num_pairs), dtype=np.uint8)
+            for k in range(num):
+                seeds = rng.trial_seeds_np(77, k * trials + start, chunk)
+                masks |= rng.edge_masks(seeds, params.num_pairs, params.p)
+            lam2 = np.linalg.eigvalsh(laplacians_from_masks(masks, params.n))[:, 1]
+            connected += int(np.count_nonzero(lam2 > EPS_ZERO))
+        lo, hi = wilson_interval(connected, trials)
         assert lo <= exact.prob_connected <= hi
 
 

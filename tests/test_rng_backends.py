@@ -1,13 +1,8 @@
-"""Stream definition, known-answer vectors, and backend equivalence."""
+"""Stream definition and known-answer vectors."""
 import numpy as np
 import pytest
 
-from erunion import _kernels_np, rng
-
-try:
-    from erunion import _unionsampler
-except ImportError:
-    _unionsampler = None
+from erunion import rng
 
 MASK = (1 << 64) - 1
 
@@ -61,32 +56,3 @@ def test_threshold_exact_binary_fractions():
         rng.threshold_u64(0.0)
     with pytest.raises(ValueError):
         rng.threshold_u64(1.0)
-
-
-def test_numpy_kernel_chunking_invariant():
-    # internal slicing must never change results
-    seeds = rng.trial_seeds_np(3, 0, 257)
-    thr = rng.threshold_u64(0.3)
-    whole = _kernels_np.union_mask_block(seeds, 36, 4, thr)
-    parts = np.concatenate([
-        _kernels_np.union_mask_block(seeds[:100], 36, 4, thr),
-        _kernels_np.union_mask_block(seeds[100:], 36, 4, thr),
-    ])
-    assert np.array_equal(whole, parts)
-
-
-@pytest.mark.skipif(_unionsampler is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("num_pairs,rounds,p", [
-    (1, 1, 0.5),
-    (45, 1, 0.1),
-    (45, 50, 0.1),
-    (190, 7, 0.9),
-    (10, 3, 1e-9),
-    (10, 3, 1.0 - 1e-12),
-])
-def test_backends_bit_identical(num_pairs, rounds, p):
-    seeds = rng.trial_seeds_np(0xABCDEF, 0, 300)
-    thr = rng.threshold_u64(p)
-    a = _unionsampler.union_mask_block(seeds, num_pairs, rounds, thr)
-    b = _kernels_np.union_mask_block(seeds, num_pairs, rounds, thr)
-    assert np.array_equal(a, b)
