@@ -135,6 +135,12 @@ def _nmin_log_argument(n: int) -> float:
     return num / den
 
 
+def _require_finite_union_size(value: float, p: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"p={p!r} is too small: the minimum union size "
+                              f"overflows double precision")
+
+
 def n_min(params: ModelParams) -> NminResult:
     """Smallest union size whose expected-connectivity criterion reaches the
     line-graph floor, as a real-valued bound and its ceiling."""
@@ -145,6 +151,7 @@ def n_min(params: ModelParams) -> NminResult:
                               "line-graph floor for any union size")
     root = _nmin_log_argument(n)
     exact = math.log(root) / math.log1p(-params.p)
+    _require_finite_union_size(exact, params.p)
     return NminResult(exact_real=exact, rounded_up=math.ceil(exact), log_argument=root)
 
 
@@ -152,7 +159,9 @@ def n_min_asymptotic(p: float) -> float:
     """Large-n limit of the minimum union size: -log(3) / log(1-p)."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p!r}")
-    return -math.log(3.0) / math.log1p(-p)
+    asym = -math.log(3.0) / math.log1p(-p)
+    _require_finite_union_size(asym, p)
+    return asym
 
 
 def paley_zygmund_bound(mean_lb: float, second_moment_ub: float, theta: float) -> float:

@@ -9,6 +9,7 @@ forms). Every subcommand supports ``--json``. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,6 +44,16 @@ def _default_workers() -> int:
     if workers < 1:
         raise ValidationError(f"ERUNION_WORKERS must be a positive integer, got {raw!r}")
     return workers
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def _cmd_nmin(args) -> int:
@@ -121,8 +132,8 @@ def _cmd_mc(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     config = McConfig(params=params, num_graphs=args.N, trials=args.trials,
                       master_seed=args.seed, workers=workers)
+    report = bound_report(params, args.N)  # rejects degenerate inputs before sampling
     estimate = run_mc(config)
-    report = bound_report(params, args.N)
     if args.dump_graphs is not None:
         outdir = Path(args.dump_graphs)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -135,16 +146,8 @@ def _cmd_mc(args) -> int:
     payload = {
         "config": {"n": args.n, "p": args.p, "num_graphs": args.N,
                    "trials": args.trials, "master_seed": args.seed},
-        "estimate": estimate.to_dict(),
-        "bounds": {
-            "e_lambda2_lower": report.e_lambda2_lower,
-            "e_lambda2_upper": report.e_lambda2_upper,
-            "var_lambda2_lower": report.var_lambda2_lower,
-            "var_lambda2_upper": report.var_lambda2_upper,
-            "lambda_min": report.lambda_min,
-            "theta": report.theta,
-            "prob_lower": report.prob_lower,
-        },
+        "estimate": dataclasses.asdict(estimate),
+        "bounds": dataclasses.asdict(report),
     }
     _dump_json(payload)
     return EXIT_OK
@@ -204,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--p", type=float, required=True)
     p_prob.add_argument("--N", type=int, required=True)
     p_prob.add_argument("--json", action="store_true")
-    p_prob.add_argument("--precision", type=int, default=3)
+    p_prob.add_argument("--precision", type=_nonnegative_int, default=3)
     p_prob.set_defaults(func=_cmd_probbound)
 
     p_tab = sub.add_parser("tables", help="regenerate a reference table as CSV")
     p_tab.add_argument("which", type=int, choices=(1, 2, 3))
     p_tab.add_argument("--json", action="store_true")
-    p_tab.add_argument("--precision", type=int, default=3)
+    p_tab.add_argument("--precision", type=_nonnegative_int, default=3)
     p_tab.set_defaults(func=_cmd_tables)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo run with analytic bounds (JSON report)")

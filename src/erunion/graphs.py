@@ -95,21 +95,6 @@ class GraphSample:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
-    def degrees(self) -> np.ndarray:
-        """Node degrees as an integer array."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
-
 
 @lru_cache(maxsize=64)
 def all_pairs(n: int) -> tuple:
@@ -120,36 +105,24 @@ def all_pairs(n: int) -> tuple:
 @lru_cache(maxsize=64)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic pair endpoints as two index arrays (row, col)."""
-    pairs = all_pairs(n)
-    i = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    j = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    return i, j
-
-
-@lru_cache(maxsize=16)
-def _incidence(n: int) -> np.ndarray:
-    """(num_pairs, n) 0/1 matrix mapping an edge mask to node degrees."""
-    i, j = pair_arrays(n)
-    inc = np.zeros((len(i), n))
-    inc[np.arange(len(i)), i] = 1.0
-    inc[np.arange(len(j)), j] = 1.0
-    return inc
+    return np.triu_indices(n, 1)
 
 
 def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """Batched graph Laplacians from edge masks over the lexicographic pairs.
 
-    All entries are small integers, hence exact in float64; the result is
-    independent of how the batch was blocked.
+    The only Laplacian builder of the package. All entries are small
+    integers, hence exact in float64; the result is independent of how the
+    batch was blocked.
     """
-    masks = np.asarray(masks)
     i, j = pair_arrays(n)
-    m = masks.astype(np.float64)
-    lap = np.zeros((masks.shape[0], n, n))
+    m = np.asarray(masks, dtype=np.float64)
+    lap = np.zeros((m.shape[0], n, n))
     lap[:, i, j] = -m
     lap[:, j, i] = -m
     idx = np.arange(n)
-    lap[:, idx, idx] = m @ _incidence(n)
+    # 0.0 - row sum keeps an isolated node's degree +0.0, not -0.0
+    lap[:, idx, idx] = 0.0 - lap.sum(axis=2)
     return lap
 
 
@@ -188,12 +161,10 @@ def union_graphs(samples: Sequence[GraphSample]) -> GraphSample:
 
 def laplacian(g: GraphSample) -> np.ndarray:
     """Graph Laplacian L = D - A (dense, symmetric, zero row sums)."""
-    lap = np.zeros((g.n, g.n))
+    adj = np.zeros((g.n, g.n), dtype=np.uint8)
     for i, j in g.edges:
-        lap[i, j] = lap[j, i] = -1.0
-    d = g.degrees()
-    lap[np.arange(g.n), np.arange(g.n)] = d.astype(np.float64)
-    return lap
+        adj[i, j] = 1
+    return laplacians_from_masks(adj[pair_arrays(g.n)][None, :], g.n)[0]
 
 
 def is_connected_bfs(g: GraphSample) -> bool:

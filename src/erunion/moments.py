@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .graphs import ModelParams
 
-# symbolic tag for the common structure of every moment matrix
-MOMENT_STRUCTURE = "c * (n*I - J)"
-
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -47,9 +44,9 @@ def _coefficient(n: int, p: float, k: int) -> float:
     raise ValidationError(f"moment order k must be in 1..4, got {k!r}")
 
 
-def laplacian_moment_matrix(params: ModelParams, k: int) -> tuple[float, str]:
-    """Coefficient c_k with E[L^k] = c_k (nI - J), plus the structure tag."""
-    return _coefficient(params.n, params.p, k), MOMENT_STRUCTURE
+def laplacian_moment_matrix(params: ModelParams, k: int) -> float:
+    """Coefficient c_k with E[L^k] = c_k (nI - J)."""
+    return _coefficient(params.n, params.p, k)
 
 
 def eigenvalue_moment(params: ModelParams, k: int) -> float:

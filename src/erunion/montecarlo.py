@@ -18,13 +18,9 @@ from . import rng
 from .bounds import BoundReport, bound_report
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, laplacians_from_masks
-from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, line_graph_lambda_min
+from .spectral import SPECTRAL_N_CEILING, lambda2_indicators
 
 Z95 = 1.959963984540054
-
-# slack for the lambda_2 >= lambda_min indicator: path-shaped unions attain
-# lambda_min exactly and the eigensolver sits ~1e-16 off the closed form
-LAMBDA_MIN_SLACK = 1e-9
 
 # per-block eigensolver workspace (Laplacian entries); it also bounds the
 # block's draws, one per pair (< n^2/2). Block size is a pure function of
@@ -63,17 +59,6 @@ class McEstimate:
     trials: int
     ci_reliable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_lambda2": self.mean_lambda2,
-            "var_lambda2": self.var_lambda2,
-            "prob_connected": self.prob_connected,
-            "prob_ge_lambda_min": self.prob_ge_lambda_min,
-            "ci_halfwidths": dict(self.ci_halfwidths),
-            "trials": self.trials,
-            "ci_reliable": self.ci_reliable,
-        }
-
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (well-behaved near 0/1)."""
@@ -102,7 +87,6 @@ def run_mc(config: McConfig) -> McEstimate:
             f"n={n} exceeds the dense eigensolver ceiling ({SPECTRAL_N_CEILING})")
     p_hat, _ = params.effective_probabilities(config.num_graphs)
     num_pairs = params.num_pairs
-    lam_min = line_graph_lambda_min(n)
     trials = config.trials
 
     lambda2s = np.empty(trials)
@@ -128,8 +112,9 @@ def run_mc(config: McConfig) -> McEstimate:
         var = float(np.sum((lambda2s - mean) ** 2)) / (trials - 1)
     else:
         var = 0.0
-    n_conn = int(np.count_nonzero(lambda2s > EPS_ZERO))
-    n_ge = int(np.count_nonzero(lambda2s >= lam_min - LAMBDA_MIN_SLACK))
+    connected, ge_lambda_min = lambda2_indicators(lambda2s, n)
+    n_conn = int(np.count_nonzero(connected))
+    n_ge = int(np.count_nonzero(ge_lambda_min))
 
     ci_reliable = trials >= 2
     if ci_reliable:

@@ -15,14 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError
-from .graphs import ModelParams, pair_arrays
-from .spectral import EPS_ZERO, line_graph_lambda_min
+from .graphs import ModelParams, laplacians_from_masks
+from .spectral import lambda2_indicators
 
 ORACLE_N_CAP = 6
-
-# same indicator slack as the Monte-Carlo module: the n-node path attains
-# lambda_min exactly and the eigensolver sits ~1e-16 off the closed form
-_LAMBDA_MIN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,21 +38,13 @@ class ExactReport:
 
 @lru_cache(maxsize=8)
 def _structure(n: int):
-    """Per-bitmask edge counts, Laplacian power traces, lambda_2 and lambda_2^2 (p-free)."""
-    i, j = pair_arrays(n)
-    m = len(i)
+    """Per-bitmask edge counts, Laplacian power traces, lambda_2, lambda_2^2
+    and the two lambda_2 indicators (all p-free)."""
+    m = n * (n - 1) // 2
     masks = np.arange(1 << m, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.float64)
-    edge_counts = bits.sum(axis=1)
-
-    lap = np.zeros((1 << m, n, n))
-    lap[:, i, j] = -bits
-    lap[:, j, i] = -bits
-    idx = np.arange(n)
-    deg = np.zeros((1 << m, n))
-    np.add.at(deg, (slice(None), i), bits)
-    np.add.at(deg, (slice(None), j), bits)
-    lap[:, idx, idx] = deg
+    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.uint8)
+    edge_counts = bits.sum(axis=1, dtype=np.float64)
+    lap = laplacians_from_masks(bits, n)
 
     l2 = lap @ lap
     l3 = l2 @ lap
@@ -68,7 +56,8 @@ def _structure(n: int):
         4: np.einsum("bii->b", l4),
     }
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
-    return edge_counts, traces, lambda2s, lambda2s * lambda2s
+    connected, ge_lambda_min = lambda2_indicators(lambda2s, n)
+    return edge_counts, traces, lambda2s, lambda2s * lambda2s, connected, ge_lambda_min
 
 
 def _weights(edge_counts: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
@@ -86,9 +75,8 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
     if n > ORACLE_N_CAP:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
-    edge_counts, traces, lambda2s, lambda2s_sq = _structure(n)
+    edge_counts, traces, lambda2s, lambda2s_sq, connected, ge_lambda_min = _structure(n)
     w = _weights(edge_counts, params.num_pairs, params.p)
-    lam_min = line_graph_lambda_min(n)
     return ExactReport(
         n=n,
         p=params.p,
@@ -96,8 +84,8 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
         eigenvalue_moments={k: float(w @ traces[k]) / (n - 1) for k in (1, 2, 3, 4)},
         expected_lambda2=float(w @ lambda2s),
         expected_lambda2_sq=float(w @ lambda2s_sq),
-        prob_connected=float(w[lambda2s > EPS_ZERO].sum()),
-        prob_lambda2_ge_lambda_min=float(w[lambda2s >= lam_min - _LAMBDA_MIN_SLACK].sum()),
+        prob_connected=float(w[connected].sum()),
+        prob_lambda2_ge_lambda_min=float(w[ge_lambda_min].sum()),
         weight_total=float(w.sum()),
     )
 

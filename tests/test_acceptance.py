@@ -109,7 +109,7 @@ def test_ac06_moment_matrix_entrywise():
             sums[k] += weight * power
     structure = n * np.eye(n) - np.ones((n, n))
     for k in (1, 2, 3, 4):
-        c, _ = laplacian_moment_matrix(ModelParams(n, p), k)
+        c = laplacian_moment_matrix(ModelParams(n, p), k)
         assert np.max(np.abs(sums[k] - c * structure)) <= 1e-12, f"k={k}"
 
 

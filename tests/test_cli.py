@@ -48,6 +48,30 @@ class TestNmin:
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nmin", "--n", "10", "--p", "1e-320"],
+    ["probbound", "--n", "10", "--p", "1e-320", "--N", "4"],
+    ["mc", "--n", "10", "--p", "1e-320", "--N", "4", "--trials", "5", "--seed", "0"],
+])
+def test_subnormal_p_is_a_domain_error(capsys, argv):
+    # N_min = log(.) / log1p(-p) overflows to inf for subnormal p
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "too small" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "2", "--precision", "-1"],
+    ["probbound", "--n", "50", "--p", "0.05", "--N", "50", "--precision", "-2"],
+])
+def test_negative_precision_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
 class TestProbbound:
     def test_reference_cell(self, capsys):
         code, out, _ = run_cli(capsys, "probbound", "--n", "50", "--p", "0.05", "--N", "50")

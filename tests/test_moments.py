@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from erunion import (ModelParams, ValidationError, eigenvalue_moment,
                      eigenvalue_variances, enumerate_exact,
                      laplacian_moment_matrix, structured_matrix_eigs)
-from erunion.moments import MOMENT_STRUCTURE
 
 
 def enumerate_moment_matrix(n, p, k):
@@ -32,23 +31,22 @@ def enumerate_moment_matrix(n, p, k):
 
 class TestMomentMatrix:
     def test_first_coefficient_is_p(self):
-        c, structure = laplacian_moment_matrix(ModelParams(10, 0.5), 1)
+        c = laplacian_moment_matrix(ModelParams(10, 0.5), 1)
         assert c == 0.5
-        assert structure == MOMENT_STRUCTURE
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_coefficients_vanish_as_p_to_zero(self, k):
-        c, _ = laplacian_moment_matrix(ModelParams(10, 1e-12), k)
+        c = laplacian_moment_matrix(ModelParams(10, 1e-12), k)
         assert 0 < c < 1e-10
 
     def test_second_coefficient_value(self):
-        c, _ = laplacian_moment_matrix(ModelParams(4, 0.5), 2)
+        c = laplacian_moment_matrix(ModelParams(4, 0.5), 2)
         assert c == pytest.approx(1.5, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matrix_matches_enumeration_n4(self, k):
         n, p = 4, 0.5
-        c, _ = laplacian_moment_matrix(ModelParams(n, p), k)
+        c = laplacian_moment_matrix(ModelParams(n, p), k)
         target = c * (n * np.eye(n) - np.ones((n, n)))
         assert np.max(np.abs(enumerate_moment_matrix(n, p, k) - target)) <= 1e-12
 
@@ -105,7 +103,7 @@ class TestEigenvalueMoment:
         # c_k (nI - J) has simple eigenvalue 0 and repeated eigenvalue n c_k
         params = ModelParams(7, 0.45)
         for k in (1, 2, 3, 4):
-            c, _ = laplacian_moment_matrix(params, k)
+            c = laplacian_moment_matrix(params, k)
             simple, repeated = structured_matrix_eigs(c * (params.n - 1), -c, params.n)
             assert simple == pytest.approx(0.0, abs=1e-12)
             assert repeated == pytest.approx(eigenvalue_moment(params, k), rel=1e-12)

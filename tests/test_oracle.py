@@ -6,6 +6,7 @@ from erunion import (CapabilityError, ModelParams, enumerate_exact,
                      exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
 from erunion.graphs import laplacians_from_masks
+from erunion.oracle import _structure
 from erunion.spectral import EPS_ZERO
 
 
@@ -58,6 +59,17 @@ class TestInvariants:
         rep = enumerate_exact(ModelParams(n, p))
         lower, upper = expected_lambda2_bounds(union_effective_params(ModelParams(n, p), 1))
         assert lower - 1e-12 <= rep.expected_lambda2 <= upper + 1e-12
+
+
+class TestSharedIndicators:
+    # labelled connected graphs on n nodes (OEIS A001187)
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
+    def test_indicators_over_every_graph(self, n, count):
+        connected, ge_lambda_min = _structure(n)[-2:]
+        assert len(connected) == 1 << (n * (n - 1) // 2)
+        assert int(np.count_nonzero(connected)) == count
+        # every connected graph clears the line-graph floor, within the slack
+        assert np.array_equal(ge_lambda_min, connected)
 
 
 class TestUnionReports:
