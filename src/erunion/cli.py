@@ -46,6 +46,12 @@ def _default_workers() -> int:
     return workers
 
 
+def _printed_size(value: int) -> int | float:
+    """A union size as printed: a float beyond 2**53, where JSON readers lose
+    integer precision (such doubles are integer-valued anyway)."""
+    return value if value <= 2 ** 53 else float(value)
+
+
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
@@ -60,34 +66,36 @@ def _cmd_nmin(args) -> int:
     params = ModelParams(args.n, args.p)
     asym = n_min_asymptotic(args.p)
     res = n_min(params)  # InfeasibleError propagates to main()
+    rounded_up = _printed_size(res.rounded_up)
     if args.json:
         _dump_json({"n": args.n, "p": args.p, "exact_real": res.exact_real,
-                    "rounded_up": res.rounded_up, "asymptotic": asym})
+                    "rounded_up": rounded_up, "asymptotic": asym})
     elif args.csv:
         print("n,p,exact_real,rounded_up,asymptotic")
-        print(f"{args.n},{args.p},{res.exact_real!r},{res.rounded_up},{asym!r}")
+        print(f"{args.n},{args.p},{res.exact_real!r},{rounded_up},{asym!r}")
     else:
         print(f"n={args.n} p={args.p}")
         print(f"N_min exact value : {res.exact_real}")
-        print(f"N_min (rounded up): {res.rounded_up}")
-        print(f"large-n asymptote : {asym} (~{round(asym)})")
+        print(f"N_min (rounded up): {rounded_up}")
+        print(f"large-n asymptote : {asym} (~{_printed_size(round(asym))})")
     return EXIT_OK
 
 
 def _cmd_probbound(args) -> int:
     params = ModelParams(args.n, args.p)
     res = connectivity_probability_bound(params, args.N)
+    n_min_rounded = _printed_size(res.n_min_rounded)
     if res.status == "below_n_min":
         if args.json:
             _dump_json({"n": args.n, "p": args.p, "N": args.N,
-                        "status": res.status, "n_min": res.n_min_rounded,
+                        "status": res.status, "n_min": n_min_rounded,
                         "value": None})
-        print(f"error: N={args.N} is below N_min={res.n_min_rounded}; "
+        print(f"error: N={args.N} is below N_min={n_min_rounded}; "
               f"the bound is not certified", file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
         _dump_json({"n": args.n, "p": args.p, "N": args.N, "status": res.status,
-                    "value": res.value, "n_min": res.n_min_rounded,
+                    "value": res.value, "n_min": n_min_rounded,
                     "theta": res.theta, "lambda_min": res.lambda_min})
     else:
         print(f"{res.value:.{args.precision}f}")

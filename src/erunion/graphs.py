@@ -108,6 +108,16 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+def incident_pairs(n: int) -> np.ndarray:
+    """Lexicographic indices of the n-1 pairs holding each node, shape (n, n-1)."""
+    i, j = pair_arrays(n)
+    e = np.arange(i.size)
+    index = np.empty((n, n), dtype=np.intp)
+    index[i, j] = e
+    index[j, i] = e
+    return index[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
 def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """Batched graph Laplacians from edge masks over the lexicographic pairs.
 

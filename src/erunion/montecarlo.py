@@ -5,6 +5,14 @@ sample set is a pure function of the configuration: results are bit-identical
 for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
 one draw per pair, so trial t's union graph equals
 ``sample_union(params, num_graphs, rng.trial_seed(master_seed, t))``.
+
+A union with a node of degree 0 is disconnected and its Laplacian has a zero
+row, so its lambda_2 is exactly 0.0, and it is stored as such without an
+eigensolve; near the connectivity threshold about half the unions are of
+this kind. Solving such a union returns rounding noise of about 1e-15,
+below ``EPS_ZERO``, so the indicator frequencies are those of solving every
+union; the lambda_2 mean, variance and their half-widths may differ from
+that in their low digits, and only in runs that hold such a trial.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ import numpy as np
 from . import rng
 from .bounds import BoundReport, bound_report
 from .errors import CapabilityError, ValidationError
-from .graphs import ModelParams, laplacians_from_masks
+from .graphs import ModelParams, incident_pairs, laplacians_from_masks
 from .spectral import SPECTRAL_N_CEILING, lambda2_indicators
 
 Z95 = 1.959963984540054
@@ -73,10 +81,11 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 def run_mc(config: McConfig) -> McEstimate:
-    """Sample, union, and eigensolve every trial; aggregate deterministically.
+    """Sample every trial, solve its lambda_2; aggregate deterministically.
 
-    Per trial: draw the union's edge mask at p_hat from the trial's stream,
-    assemble the Laplacian, take the second-smallest eigenvalue. Aggregation
+    Per trial: draw the union's edge mask at p_hat from the trial's stream;
+    if some node has no edge, lambda_2 is 0.0; otherwise assemble the
+    Laplacian and take its second-smallest eigenvalue. Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
     """
@@ -89,16 +98,19 @@ def run_mc(config: McConfig) -> McEstimate:
     num_pairs = params.num_pairs
     trials = config.trials
 
-    lambda2s = np.empty(trials)
+    lambda2s = np.zeros(trials)
     block = max(1, _EIG_BUDGET // (n * n))
     starts = range(0, trials, block)
+    incident = incident_pairs(n)
 
     def run_block(start: int) -> None:
         stop = min(start + block, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
         masks = rng.edge_masks(seeds, num_pairs, p_hat)
-        laps = laplacians_from_masks(masks, n)
-        lambda2s[start:stop] = np.linalg.eigvalsh(laps)[:, 1]
+        # only unions without a degree-0 node are solved; the rest keep 0.0
+        live = masks[:, incident].any(axis=2).all(axis=1)
+        laps = laplacians_from_masks(masks[live], n)
+        lambda2s[start:stop][live] = np.linalg.eigvalsh(laps)[:, 1]
 
     if config.workers == 1:
         for s in starts:

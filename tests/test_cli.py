@@ -37,6 +37,23 @@ class TestNmin:
         assert lines[0] == "n,p,exact_real,rounded_up,asymptotic"
         assert lines[1].split(",")[3] == "12"
 
+    @pytest.mark.parametrize("p", ["0.1", "1e-10", "1e-20", "1e-300"])
+    def test_huge_union_size_printed_as_float(self, capsys, p):
+        # rounded_up is an exact integer; beyond 2**53 JSON readers round it
+        code, out, _ = run_cli(capsys, "nmin", "--n", "3", "--p", p, "--json")
+        assert code == 0
+        rounded_up = json.loads(out)["rounded_up"]
+        assert isinstance(rounded_up, float) or rounded_up <= 2 ** 53
+        for fmt in ([], ["--csv"]):
+            code, out, _ = run_cli(capsys, "nmin", "--n", "3", "--p", p, *fmt)
+            assert code == 0
+            assert max(len(line) for line in out.splitlines()) <= 100
+        code, out, err = run_cli(capsys, "probbound", "--n", "3", "--p", p,
+                                 "--N", "1", "--json")
+        n_min = json.loads(out)["n_min"]
+        assert isinstance(n_min, float) or n_min <= 2 ** 53
+        assert len(err) <= 100
+
     def test_n2_infeasibility_diagnostic(self, capsys):
         code, out, err = run_cli(capsys, "nmin", "--n", "2", "--p", "0.5")
         assert code == 2

@@ -1,6 +1,8 @@
 """Monte-Carlo harness: determinism, agreement with BFS, bound coverage."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
@@ -8,9 +10,14 @@ from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      lambda2, lambda2_variance_bounds, laplacian,
                      line_graph_lambda_min, run_mc, sample_union, sweep,
                      union_effective_params, wilson_interval)
-from erunion import rng
+from erunion import montecarlo, rng
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
+
+# n=40, N=2: p_hat = 0.0975 sits at the connectivity threshold ln(40)/40,
+# where about half the unions have a node of degree 0
+THRESHOLD_CONFIG = McConfig(ModelParams(40, 0.05), num_graphs=2, trials=300,
+                            master_seed=2024)
 
 
 class TestDegenerateAndErrors:
@@ -59,6 +66,42 @@ class TestDeterminism:
         base = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=1))
         other = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=workers))
         assert base == other
+
+    def test_many_blocks_match_one_block(self, monkeypatch):
+        base = run_mc(THRESHOLD_CONFIG)
+        n = THRESHOLD_CONFIG.params.n
+        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 blocks of <= 7
+        for workers in (1, 2, 4):
+            assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
+
+
+class TestIsolatedNodeShortcut:
+    def test_solves_only_unions_without_isolated_node(self, monkeypatch):
+        cfg = THRESHOLD_CONFIG
+        params = cfg.params
+        graphs = [sample_union(params, cfg.num_graphs, trial_seed(cfg.master_seed, t))
+                  for t in range(cfg.trials)]
+        isolated = [len({v for e in g.edges for v in e}) < g.n for g in graphs]
+        assert cfg.trials / 3 <= sum(isolated) <= 2 * cfg.trials / 3
+        expected = np.array([0.0 if iso else lambda2(laplacian(g))
+                             for g, iso in zip(graphs, isolated)])
+
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            solved.append(a.shape[0] if a.ndim == 3 else 1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        est = run_mc(cfg)
+        assert sum(solved) == isolated.count(False)
+
+        mean = float(np.sum(expected)) / cfg.trials
+        var = float(np.sum((expected - mean) ** 2)) / (cfg.trials - 1)
+        assert est.mean_lambda2 == mean
+        assert est.var_lambda2 == var
+        assert est.prob_connected == sum(map(is_connected_bfs, graphs)) / cfg.trials
 
 
 class TestAgreementWithGraphApi:
