@@ -13,6 +13,12 @@ this kind. Solving such a union returns rounding noise of about 1e-15,
 below ``EPS_ZERO``, so the indicator frequencies are those of solving every
 union; the lambda_2 mean, variance and their half-widths may differ from
 that in their low digits, and only in runs that hold such a trial.
+
+Trials run in blocks of consecutive indices, one block per worker up to an
+eigensolver budget per block (see ``_EIG_BUDGET``). With more than one worker
+the blocks run on a thread pool, and numpy's OpenBLAS runs on one thread
+meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the workers'
+solves do not oversubscribe the cores.
 """
 from __future__ import annotations
 
@@ -26,13 +32,15 @@ from . import rng
 from .bounds import BoundReport, bound_report
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, incident_pairs, laplacians_from_masks
-from .spectral import SPECTRAL_N_CEILING, lambda2_indicators
+from .spectral import SPECTRAL_N_CEILING, lambda2_indicators, one_blas_thread
 
 Z95 = 1.959963984540054
 
 # per-block eigensolver workspace (Laplacian entries); it also bounds the
-# block's draws, one per pair (< n^2/2). Block size is a pure function of
-# the configuration so blocking never affects results
+# block's draws, one per pair (< n^2/2). A block holds
+# min(_EIG_BUDGET // n^2, ceil(trials / workers)) trials, at least one, so
+# each worker gets a block; block size is a pure function of the
+# configuration, and blocking never affects results
 _EIG_BUDGET = 1 << 22
 
 
@@ -99,7 +107,7 @@ def run_mc(config: McConfig) -> McEstimate:
     trials = config.trials
 
     lambda2s = np.zeros(trials)
-    block = max(1, _EIG_BUDGET // (n * n))
+    block = max(1, min(_EIG_BUDGET // (n * n), -(-trials // config.workers)))
     starts = range(0, trials, block)
     incident = incident_pairs(n)
 
@@ -116,7 +124,7 @@ def run_mc(config: McConfig) -> McEstimate:
         for s in starts:
             run_block(s)
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=config.workers) as pool:
             list(pool.map(run_block, starts))
 
     mean = float(np.sum(lambda2s)) / trials

@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from erunion import spectral
+
 
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
@@ -7,3 +11,18 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         status = "PASS" if report.passed else "FAIL"
         print(f"ACCEPTANCE {name}: {status}", file=sys.stderr)
+
+
+@pytest.fixture
+def blas_get_at_two_threads():
+    """numpy's OpenBLAS set to 2 threads for the test; yields its thread-count getter."""
+    controls = spectral._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+    get, set_ = controls
+    original = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(original)

@@ -5,15 +5,18 @@ criterion. Run with ``pytest tests/test_acceptance.py -v``.
 """
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
+import erunion
 from erunion import (McConfig, ModelParams, connectivity_probability_bound,
                      enumerate_exact, expected_lambda2_bounds,
                      is_connected_bfs, lambda2, laplacian,
@@ -176,10 +179,14 @@ def test_ac08_eigensolver_accuracy_and_bfs_agreement():
 def test_ac09_cli_determinism_across_workers():
     args = [sys.executable, "-m", "erunion.cli", "mc", "--n", "20", "--p", "0.3",
             "--N", "2", "--trials", "3000", "--seed", "123"]
+    # the child imports the package under test, wherever this process found it
+    src = str(Path(erunion.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = []
     for workers in ("1", "4"):
         out = subprocess.run(args + ["--workers", workers],
-                             capture_output=True, check=True)
+                             capture_output=True, check=True, env=env)
         runs.append(out.stdout)
     assert runs[0] == runs[1]
     payload = json.loads(runs[0])

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, agreement with BFS, bound coverage."""
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +74,75 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 blocks of <= 7
         for workers in (1, 2, 4):
             assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
+
+
+def _count_blocks(monkeypatch) -> list[int]:
+    """Record the trial count of each block run_mc seeds from now on."""
+    counts = []
+    trial_seeds_np = rng.trial_seeds_np
+
+    def counting(master_seed, start, count):
+        counts.append(count)
+        return trial_seeds_np(master_seed, start, count)
+
+    monkeypatch.setattr(rng, "trial_seeds_np", counting)
+    return counts
+
+
+class TestBlockPerWorker:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_worker_gets_a_block(self, monkeypatch, workers):
+        base = run_mc(THRESHOLD_CONFIG)
+        counts = _count_blocks(monkeypatch)
+        est = run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers))
+        trials = THRESHOLD_CONFIG.trials
+        block = math.ceil(trials / workers)
+        assert len(counts) == math.ceil(trials / block) == workers
+        assert sum(counts) == trials
+        assert est == base
+
+    def test_fewer_trials_than_workers(self, monkeypatch):
+        cfg = McConfig(ModelParams(12, 0.3), num_graphs=2, trials=3, master_seed=4)
+        base = run_mc(cfg)
+        counts = _count_blocks(monkeypatch)
+        assert run_mc(dataclasses.replace(cfg, workers=4)) == base
+        assert counts == [1, 1, 1]
+
+
+class TestOneBlasThreadInPool:
+    @staticmethod
+    def _record_solves(monkeypatch, get, fail=False):
+        """(in main thread, BLAS thread count) at each eigvalsh call from now on."""
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a):
+            seen.append((threading.current_thread() is threading.main_thread(), get()))
+            if fail:
+                raise RuntimeError("solver failed")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        return seen
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_pool_runs_on_one_thread_and_restores(self, monkeypatch,
+                                                  blas_get_at_two_threads, fail):
+        get = blas_get_at_two_threads
+        seen = self._record_solves(monkeypatch, get, fail)
+        cfg = dataclasses.replace(THRESHOLD_CONFIG, workers=2)
+        if fail:
+            with pytest.raises(RuntimeError):
+                run_mc(cfg)
+        else:
+            run_mc(cfg)
+        assert seen and seen == [(False, 1)] * len(seen)
+        assert get() == 2
+
+    def test_serial_path_keeps_the_thread_count(self, monkeypatch, blas_get_at_two_threads):
+        seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
+        run_mc(THRESHOLD_CONFIG)
+        assert seen == [(True, 2)]
 
 
 class TestIsolatedNodeShortcut:

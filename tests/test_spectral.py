@@ -8,7 +8,7 @@ from erunion import (GraphSample, ModelParams, ValidationError, all_pairs,
                      is_connected_bfs, lambda2, laplacian,
                      line_graph_lambda_min, rng, sample_graph,
                      structured_matrix_eigs, symmetric_eigenvalues)
-from erunion.spectral import EPS_ZERO
+from erunion.spectral import EPS_ZERO, one_blas_thread
 
 
 def path_laplacian(n):
@@ -136,3 +136,16 @@ class TestLineGraphMinimum:
                 hits += 1
                 assert lambda2(laplacian(g)) >= line_graph_lambda_min(n) - 1e-9
         assert hits > 100
+
+
+def test_overlapping_one_blas_thread_bodies_restore_the_count(blas_get_at_two_threads):
+    # bodies in two threads may end in either order; the last restores
+    get = blas_get_at_two_threads
+    first, second = one_blas_thread(), one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    assert get() == 1
+    first.__exit__(None, None, None)
+    assert get() == 1
+    second.__exit__(None, None, None)
+    assert get() == 2
