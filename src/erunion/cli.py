@@ -231,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--workers", type=int, default=None,
-                      help="worker threads, one block of trials each, on one OpenBLAS "
-                           "thread (default: ERUNION_WORKERS, else 1)")
+                      help="worker threads, at most one per usable CPU, sharing the "
+                           "trial chunks on one OpenBLAS thread (default: ERUNION_WORKERS, "
+                           "else 1)")
     p_mc.add_argument("--json", action="store_true")  # JSON is already the output format
     p_mc.add_argument("--dump-graphs", metavar="DIR", default=None,
                       help="write each trial's union graph as an edge-list file (debugging)")

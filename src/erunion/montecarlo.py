@@ -14,15 +14,20 @@ below ``EPS_ZERO``, so the indicator frequencies are those of solving every
 union; the lambda_2 mean, variance and their half-widths may differ from
 that in their low digits, and only in runs that hold such a trial.
 
-Trials run in blocks of consecutive indices, one block per worker up to an
-eigensolver budget per block (see ``_EIG_BUDGET``). With more than one worker
-the blocks run on a thread pool, and numpy's OpenBLAS runs on one thread
-meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the workers'
-solves do not oversubscribe the cores.
+Trials run in chunks of consecutive indices whose size depends on n alone
+(and on the trial count when that is smaller), never on the worker count:
+small enough that a chunk's masks and Laplacians stay in cache (see
+``_CHUNK_ENTRIES``) and within an eigensolver budget (see ``_EIG_BUDGET``).
+The chunks run on a thread pool of min(workers, chunks, usable CPUs)
+threads, which take them in index order; numpy's OpenBLAS runs on one
+thread meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the
+workers' solves do not oversubscribe the cores. A pool of one thread is the
+plain loop, and keeps the BLAS threads.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,12 +41,22 @@ from .spectral import SPECTRAL_N_CEILING, lambda2_indicators, one_blas_thread
 
 Z95 = 1.959963984540054
 
-# per-block eigensolver workspace (Laplacian entries); it also bounds the
-# block's draws, one per pair (< n^2/2). A block holds
-# min(_EIG_BUDGET // n^2, ceil(trials / workers)) trials, at least one, so
-# each worker gets a block; block size is a pure function of the
-# configuration, and blocking never affects results
+# per-chunk eigensolver workspace (Laplacian entries); it also bounds the
+# chunk's draws, one per pair (< n^2/2), and caps the chunk at large n
 _EIG_BUDGET = 1 << 22
+# Laplacian entries a chunk aims at (512 KB of float64), so that its masks and
+# Laplacians stay in cache; below 16 trials the per-chunk Python overhead
+# dominates, so a chunk holds at least 16 trials while _EIG_BUDGET allows.
+# Chunking never affects results
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -107,12 +122,13 @@ def run_mc(config: McConfig) -> McEstimate:
     trials = config.trials
 
     lambda2s = np.zeros(trials)
-    block = max(1, min(_EIG_BUDGET // (n * n), -(-trials // config.workers)))
-    starts = range(0, trials, block)
+    chunk = max(1, min(trials, _EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
+    starts = range(0, trials, chunk)
+    pool_size = min(config.workers, len(starts), _usable_cpus())
     incident = incident_pairs(n)
 
-    def run_block(start: int) -> None:
-        stop = min(start + block, trials)
+    def run_chunk(start: int) -> None:
+        stop = min(start + chunk, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
         masks = rng.edge_masks(seeds, num_pairs, p_hat)
         # only unions without a degree-0 node are solved; the rest keep 0.0
@@ -120,12 +136,12 @@ def run_mc(config: McConfig) -> McEstimate:
         laps = laplacians_from_masks(masks[live], n)
         lambda2s[start:stop][live] = np.linalg.eigvalsh(laps)[:, 1]
 
-    if config.workers == 1:
+    if pool_size == 1:
         for s in starts:
-            run_block(s)
+            run_chunk(s)
     else:
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(run_block, starts))
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=pool_size) as pool:
+            list(pool.map(run_chunk, starts))
 
     mean = float(np.sum(lambda2s)) / trials
     if trials > 1:

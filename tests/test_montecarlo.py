@@ -63,7 +63,8 @@ class TestDeterminism:
         assert run_mc(cfg) == run_mc(cfg)
 
     @pytest.mark.parametrize("workers", [2, 4, 16])
-    def test_worker_count_does_not_change_results(self, workers):
+    def test_worker_count_does_not_change_results(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
         base = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=1))
         other = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=workers))
         assert base == other
@@ -75,38 +76,113 @@ class TestDeterminism:
         for workers in (1, 2, 4):
             assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
 
+    def test_many_chunks_match_one_chunk(self, monkeypatch):
+        cfg = McConfig(ModelParams(10, 0.6), num_graphs=1, trials=5000, master_seed=1)
+        n = cfg.params.n
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", cfg.trials * n * n)
+        counts = _count_blocks(monkeypatch)
+        base = run_mc(cfg)
+        assert counts == [(0, cfg.trials)]
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 37 * n * n)  # 136 chunks of <= 37
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        for workers in (1, 2):
+            counts.clear()
+            assert run_mc(dataclasses.replace(cfg, workers=workers)) == base
+            assert len(counts) == 136
 
-def _count_blocks(monkeypatch) -> list[int]:
-    """Record the trial count of each block run_mc seeds from now on."""
+
+def _count_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (first trial, trial count) of each chunk run_mc seeds from now on."""
     counts = []
     trial_seeds_np = rng.trial_seeds_np
 
     def counting(master_seed, start, count):
-        counts.append(count)
+        counts.append((start, count))
         return trial_seeds_np(master_seed, start, count)
 
     monkeypatch.setattr(rng, "trial_seeds_np", counting)
     return counts
 
 
-class TestBlockPerWorker:
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs map inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """max_workers of each pool run_mc makes from now on; no thread is started."""
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingExecutor(sizes, max_workers))
+    return sizes
+
+
+class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_each_worker_gets_a_block(self, monkeypatch, workers):
-        base = run_mc(THRESHOLD_CONFIG)
+    def test_chunks_do_not_depend_on_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         counts = _count_blocks(monkeypatch)
+        base = run_mc(THRESHOLD_CONFIG)
+        base_counts = sorted(counts)
+        counts.clear()
         est = run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers))
-        trials = THRESHOLD_CONFIG.trials
-        block = math.ceil(trials / workers)
-        assert len(counts) == math.ceil(trials / block) == workers
-        assert sum(counts) == trials
+        assert sorted(counts) == base_counts
+        assert len(base_counts) > 4
+        assert sum(c for _, c in base_counts) == THRESHOLD_CONFIG.trials
         assert est == base
 
-    def test_fewer_trials_than_workers(self, monkeypatch):
+    def test_fewer_trials_than_workers(self, monkeypatch, pool_sizes):
         cfg = McConfig(ModelParams(12, 0.3), num_graphs=2, trials=3, master_seed=4)
         base = run_mc(cfg)
         counts = _count_blocks(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         assert run_mc(dataclasses.replace(cfg, workers=4)) == base
-        assert counts == [1, 1, 1]
+        assert [c for _, c in counts] == [3]
+        assert pool_sizes == []  # a pool of one thread is the serial loop
+
+    def test_eig_budget_caps_the_chunk(self, monkeypatch):
+        n = THRESHOLD_CONFIG.params.n
+        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 5 * n * n + n)
+        counts = _count_blocks(monkeypatch)
+        run_mc(THRESHOLD_CONFIG)
+        assert max(c for _, c in counts) == 5
+        assert sum(c for _, c in counts) == THRESHOLD_CONFIG.trials
+
+    @pytest.mark.parametrize("cpus", [1, 3, 1000])
+    def test_pool_is_capped_at_usable_cpus_and_chunks(self, monkeypatch, pool_sizes, cpus):
+        # n=6: chunks of 2**16 // 36 = 1820 trials, so 55 chunks
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        counts = _count_blocks(monkeypatch)
+        cfg = McConfig(ModelParams(6, 0.5), 1, trials=100_000, master_seed=7,
+                       workers=100_000)
+        run_mc(cfg)
+        chunks = len(counts)
+        assert chunks == 55
+        size = min(cfg.workers, chunks, cpus)
+        assert pool_sizes == ([] if size == 1 else [size])
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        assert montecarlo._usable_cpus() >= 1
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")  # no affinity mask
+        assert montecarlo._usable_cpus() == 8
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
 
 class TestOneBlasThreadInPool:
@@ -130,6 +206,7 @@ class TestOneBlasThreadInPool:
                                                   blas_get_at_two_threads, fail):
         get = blas_get_at_two_threads
         seen = self._record_solves(monkeypatch, get, fail)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = dataclasses.replace(THRESHOLD_CONFIG, workers=2)
         if fail:
             with pytest.raises(RuntimeError):
@@ -142,7 +219,7 @@ class TestOneBlasThreadInPool:
     def test_serial_path_keeps_the_thread_count(self, monkeypatch, blas_get_at_two_threads):
         seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
         run_mc(THRESHOLD_CONFIG)
-        assert seen == [(True, 2)]
+        assert seen and seen == [(True, 2)] * len(seen)
 
 
 class TestIsolatedNodeShortcut:
