@@ -8,29 +8,25 @@ connectivity, validated against Monte-Carlo sampling and exact enumeration.
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundReport, NminResult, ProbBoundResult, UnionParams,
-                     VarianceBounds, bound_report,
-                     connectivity_probability_bound, expected_lambda2_bounds,
-                     lambda2_variance_bounds, n_min, n_min_asymptotic,
-                     order_stat_expectation_bounds, paley_zygmund_bound,
-                     union_effective_params)
+from .bounds import (bound_report, connectivity_probability_bound,
+                     expected_lambda2_bounds, lambda2_variance_bounds, n_min,
+                     n_min_asymptotic, order_stat_expectation_bounds,
+                     paley_zygmund_bound, union_effective_params)
 from .errors import (CapabilityError, DimensionError, ErUnionError,
                      InfeasibleError, ValidationError)
 from .graphs import (GraphSample, ModelParams, all_pairs, is_connected_bfs,
                      laplacian, read_edgelist, sample_graph, sample_union,
                      union_graphs, write_edgelist)
-from .moments import (MomentSet, eigenvalue_moment, eigenvalue_variances,
+from .moments import (eigenvalue_moment, eigenvalue_variances,
                       laplacian_moment_matrix)
-from .montecarlo import (McConfig, McEstimate, SweepRow, run_mc, sweep,
-                         wilson_interval)
-from .oracle import ORACLE_N_CAP, ExactReport, enumerate_exact, exact_union_report
+from .montecarlo import McConfig, run_mc, wilson_interval
+from .oracle import enumerate_exact, exact_union_report
 from .spectral import (EPS_ZERO, SPECTRAL_N_CEILING, lambda2,
                        line_graph_lambda_min, structured_matrix_eigs,
                        symmetric_eigenvalues)
 
 __all__ = [
     "__version__",
-    "BoundReport", "NminResult", "ProbBoundResult", "UnionParams", "VarianceBounds",
     "bound_report", "connectivity_probability_bound", "expected_lambda2_bounds",
     "lambda2_variance_bounds", "n_min", "n_min_asymptotic",
     "order_stat_expectation_bounds", "paley_zygmund_bound", "union_effective_params",
@@ -38,9 +34,9 @@ __all__ = [
     "ValidationError",
     "GraphSample", "ModelParams", "all_pairs", "is_connected_bfs", "laplacian",
     "read_edgelist", "sample_graph", "sample_union", "union_graphs", "write_edgelist",
-    "MomentSet", "eigenvalue_moment", "eigenvalue_variances", "laplacian_moment_matrix",
-    "McConfig", "McEstimate", "SweepRow", "run_mc", "sweep", "wilson_interval",
-    "ORACLE_N_CAP", "ExactReport", "enumerate_exact", "exact_union_report",
+    "eigenvalue_moment", "eigenvalue_variances", "laplacian_moment_matrix",
+    "McConfig", "run_mc", "wilson_interval",
+    "enumerate_exact", "exact_union_report",
     "EPS_ZERO", "SPECTRAL_N_CEILING", "lambda2", "line_graph_lambda_min",
     "structured_matrix_eigs", "symmetric_eigenvalues",
 ]

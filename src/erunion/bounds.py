@@ -7,6 +7,23 @@ bounds for the algebraic connectivity lambda_2 of the union; from these
 follow the minimum union size ``n_min`` whose expected connectivity
 criterion meets the line-graph floor, and a Paley-Zygmund lower bound on
 P[lambda_2 >= lambda_min].
+
+Why the probability bound is sound. Paley-Zygmund bounds P[lambda_2 >
+theta E[lambda_2]] from below, and :func:`connectivity_probability_bound`
+takes theta = lambda_min / (n p_hat). Since theta E[lambda_2] <= lambda_min,
+that event contains {lambda_2 >= lambda_min} rather than being contained in
+it, so Paley-Zygmund alone bounds the wrong event. The bound is sound only
+because no graph has lambda_2 in (0, lambda_min):
+
+- a value is certified only when the lower bound mean_lb on E[lambda_2] is
+  positive, and theta > 0, so theta E[lambda_2] >= theta mean_lb > 0;
+- hence {lambda_2 > theta E[lambda_2]} is contained in {lambda_2 > 0},
+  the event that the union is connected;
+- by Fiedler (1973), every connected n-node graph has lambda_2 >=
+  lambda_min = 2(1 - cos(pi/n)), so {connected} = {lambda_2 >= lambda_min}.
+
+So the Paley-Zygmund value is also a lower bound on P[lambda_2 >= lambda_min],
+the probability the paper names.
 """
 from __future__ import annotations
 
@@ -178,7 +195,13 @@ def paley_zygmund_bound(mean_lb: float, second_moment_ub: float, theta: float) -
 
 def connectivity_probability_bound(params: ModelParams, num_graphs: int) -> ProbBoundResult:
     """Lower bound on P[lambda_2(union) >= lambda_min], certified for
-    num_graphs >= n_min only (otherwise an explicit below-threshold status)."""
+    num_graphs >= n_min only (otherwise an explicit below-threshold status).
+
+    The Paley-Zygmund value bounds P[lambda_2 > theta E[lambda_2]] with
+    theta = lambda_min / (n p_hat). A certified bound has mean_lb > 0, so
+    that event lies inside {connected}, which by Fiedler's theorem is
+    {lambda_2 >= lambda_min} (see the module docstring).
+    """
     nm = n_min(params)
     lam = line_graph_lambda_min(params.n)
     if num_graphs < nm.rounded_up:

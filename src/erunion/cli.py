@@ -180,14 +180,14 @@ def _cmd_oracle(args) -> int:
         "num_graphs": args.N if args.N is not None else 1,
         "effective_p": p_eff,
         "exact": {
-            "eigenvalue_moments": {str(k): report.eigenvalue_moments[k] for k in (1, 2, 3, 4)},
-            "expected_trace_lk": {str(k): report.expected_trace_lk[k] for k in (1, 2, 3, 4)},
+            "eigenvalue_moments": report.eigenvalue_moments,
+            "expected_trace_lk": report.expected_trace_lk,
             "expected_lambda2": report.expected_lambda2,
             "prob_connected": report.prob_connected,
             "prob_lambda2_ge_lambda_min": report.prob_lambda2_ge_lambda_min,
             "weight_total": report.weight_total,
         },
-        "analytic_moments": {str(k): analytic[k] for k in (1, 2, 3, 4)},
+        "analytic_moments": analytic,
         "max_rel_moment_error": max_rel,
         "expected_lambda2_bounds": {"lower": e_lo, "upper": e_hi},
     }

@@ -221,7 +221,9 @@ def read_edgelist(fp: IO[str]) -> GraphSample:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, parts)
+        except ValueError as exc:
+            raise ValidationError(f"bad edge line {line!r}") from exc
+        edges.append((i, j))
     return GraphSample.from_edges(n, edges)

@@ -1,5 +1,11 @@
 """Monte-Carlo estimation of union algebraic connectivity.
 
+A run estimates the mean and variance of lambda_2 and the probability that
+the union is connected (lambda_2 > ``EPS_ZERO``). By Fiedler's theorem every
+connected n-node graph has lambda_2 >= lambda_min = 2(1 - cos(pi/n)), so that
+same count is reported as the probability of lambda_2 >= lambda_min, the
+event the analytic bound in :mod:`erunion.bounds` lower-bounds.
+
 Trial t draws its own counter-based stream (see :mod:`erunion.rng`) so the
 sample set is a pure function of the configuration: results are bit-identical
 for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
@@ -10,7 +16,7 @@ A union with a node of degree 0 is disconnected and its Laplacian has a zero
 row, so its lambda_2 is exactly 0.0, and it is stored as such without an
 eigensolve; near the connectivity threshold about half the unions are of
 this kind. Solving such a union returns rounding noise of about 1e-15,
-below ``EPS_ZERO``, so the indicator frequencies are those of solving every
+below ``EPS_ZERO``, so the connectivity frequency is that of solving every
 union; the lambda_2 mean, variance and their half-widths may differ from
 that in their low digits, and only in runs that hold such a trial.
 
@@ -34,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .bounds import BoundReport, bound_report
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, incident_pairs, laplacians_from_masks
-from .spectral import SPECTRAL_N_CEILING, lambda2_indicators, one_blas_thread
+from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
 
 Z95 = 1.959963984540054
 
@@ -80,7 +85,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Empirical moments and indicator frequencies of lambda_2 over the trials."""
+    """Empirical moments of lambda_2 and its connectivity frequency.
+
+    ``prob_ge_lambda_min`` equals ``prob_connected`` (Fiedler's theorem).
+    """
 
     mean_lambda2: float
     var_lambda2: float
@@ -148,9 +156,7 @@ def run_mc(config: McConfig) -> McEstimate:
         var = float(np.sum((lambda2s - mean) ** 2)) / (trials - 1)
     else:
         var = 0.0
-    connected, ge_lambda_min = lambda2_indicators(lambda2s, n)
-    n_conn = int(np.count_nonzero(connected))
-    n_ge = int(np.count_nonzero(ge_lambda_min))
+    n_conn = int(np.count_nonzero(lambda2s > EPS_ZERO))
 
     ci_reliable = trials >= 2
     if ci_reliable:
@@ -162,43 +168,16 @@ def run_mc(config: McConfig) -> McEstimate:
         mean_hw = None
         var_hw = None
 
-    def prop_hw(successes: int) -> float:
-        lo, hi = wilson_interval(successes, trials)
-        return (hi - lo) / 2.0
-
+    lo, hi = wilson_interval(n_conn, trials)
+    conn_hw = (hi - lo) / 2.0
     ci = {
         "mean_lambda2": mean_hw,
         "var_lambda2": var_hw,
-        "prob_connected": prop_hw(n_conn),
-        "prob_ge_lambda_min": prop_hw(n_ge),
+        "prob_connected": conn_hw,
+        "prob_ge_lambda_min": conn_hw,
     }
     return McEstimate(mean_lambda2=mean, var_lambda2=var,
                       prob_connected=n_conn / trials,
-                      prob_ge_lambda_min=n_ge / trials,
+                      prob_ge_lambda_min=n_conn / trials,
                       ci_halfwidths=ci, trials=trials, ci_reliable=ci_reliable)
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    config: McConfig
-    estimate: McEstimate | None
-    bounds: BoundReport | None
-    error: str | None = None
-
-
-def sweep(configs) -> list[SweepRow]:
-    """Run each configuration and pair it with its analytic bounds.
-
-    Per-config errors are recorded in the row instead of aborting the sweep;
-    input order is preserved.
-    """
-    rows: list[SweepRow] = []
-    for cfg in configs:
-        try:
-            est = run_mc(cfg)
-            rep = bound_report(cfg.params, cfg.num_graphs)
-            rows.append(SweepRow(config=cfg, estimate=est, bounds=rep))
-        except Exception as exc:  # deliberate: sweep must not abort
-            rows.append(SweepRow(config=cfg, estimate=None, bounds=None,
-                                 error=f"{type(exc).__name__}: {exc}"))
-    return rows

@@ -5,6 +5,10 @@ over the lexicographic pair order (bit e = pair e); a graph with m edges has
 probability weight p^m q^(M-m). All quantities are probability-weighted sums
 over the full 2^M-graph sample space and are entirely independent of the
 closed-form moment formulas they are used to check.
+
+A graph counts as connected when lambda_2 > ``EPS_ZERO``; by Fiedler's
+theorem these are exactly the graphs with lambda_2 >= lambda_min, so
+``prob_lambda2_ge_lambda_min`` is the same sum as ``prob_connected``.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .graphs import ModelParams, laplacians_from_masks
-from .spectral import lambda2_indicators
+from .spectral import EPS_ZERO
 
 ORACLE_N_CAP = 6
 
@@ -39,7 +43,7 @@ class ExactReport:
 @lru_cache(maxsize=8)
 def _structure(n: int):
     """Per-bitmask edge counts, Laplacian power traces, lambda_2, lambda_2^2
-    and the two lambda_2 indicators (all p-free)."""
+    and the connectivity indicator (all p-free)."""
     m = n * (n - 1) // 2
     masks = np.arange(1 << m, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.uint8)
@@ -56,8 +60,7 @@ def _structure(n: int):
         4: np.einsum("bii->b", l4),
     }
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
-    connected, ge_lambda_min = lambda2_indicators(lambda2s, n)
-    return edge_counts, traces, lambda2s, lambda2s * lambda2s, connected, ge_lambda_min
+    return edge_counts, traces, lambda2s, lambda2s * lambda2s, lambda2s > EPS_ZERO
 
 
 def _weights(edge_counts: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
@@ -75,8 +78,9 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
     if n > ORACLE_N_CAP:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
-    edge_counts, traces, lambda2s, lambda2s_sq, connected, ge_lambda_min = _structure(n)
+    edge_counts, traces, lambda2s, lambda2s_sq, connected = _structure(n)
     w = _weights(edge_counts, params.num_pairs, params.p)
+    prob_connected = float(w[connected].sum())
     return ExactReport(
         n=n,
         p=params.p,
@@ -84,8 +88,8 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
         eigenvalue_moments={k: float(w @ traces[k]) / (n - 1) for k in (1, 2, 3, 4)},
         expected_lambda2=float(w @ lambda2s),
         expected_lambda2_sq=float(w @ lambda2s_sq),
-        prob_connected=float(w[connected].sum()),
-        prob_lambda2_ge_lambda_min=float(w[ge_lambda_min].sum()),
+        prob_connected=prob_connected,
+        prob_lambda2_ge_lambda_min=prob_connected,
         weight_total=float(w.sum()),
     )
 

@@ -23,12 +23,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# an eigenvalue within this of zero counts as the structural zero of a Laplacian
+# an eigenvalue within this of zero counts as the structural zero of a
+# Laplacian: lambda_2 > EPS_ZERO is the one connectivity indicator
 EPS_ZERO = 1e-8
-
-# slack for the lambda_2 >= lambda_min indicator: path-shaped graphs attain
-# lambda_min exactly and the eigensolver sits ~1e-16 off the closed form
-LAMBDA_MIN_SLACK = 1e-9
 
 # documented ceiling for dense O(n^3) eigensolves
 SPECTRAL_N_CEILING = 2000
@@ -148,19 +145,10 @@ def structured_matrix_eigs(alpha: float, beta: float, n: int) -> tuple[float, fl
 def line_graph_lambda_min(n: int) -> float:
     """Minimum algebraic connectivity over connected n-node graphs.
 
-    Attained by the n-node path: 2(1 - cos(pi/n)).
+    Attained by the n-node path: 2(1 - cos(pi/n)) (Fiedler 1973). So a graph
+    has lambda_2 >= lambda_min exactly when it is connected.
     """
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     return 2.0 * (1.0 - math.cos(math.pi / n))
 
-
-def lambda2_indicators(lambda2s, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two lambda_2 indicators of n-node graphs, as boolean arrays.
-
-    Returns ``(connected, ge_lambda_min)``: lambda_2 > :data:`EPS_ZERO`, and
-    lambda_2 >= :func:`line_graph_lambda_min` (n) - :data:`LAMBDA_MIN_SLACK`.
-    """
-    lambda2s = np.asarray(lambda2s)
-    return (lambda2s > EPS_ZERO,
-            lambda2s >= line_graph_lambda_min(n) - LAMBDA_MIN_SLACK)

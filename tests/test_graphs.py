@@ -1,6 +1,7 @@
 """Sampling, unions, Laplacians, connectivity, and serialisation."""
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,8 +200,9 @@ class TestSerialisation:
             read_edgelist(io.StringIO("nodes=3\n0 1\n"))
 
     def test_bad_edge_line(self):
-        with pytest.raises(ValidationError):
-            read_edgelist(io.StringIO("n=3\n0 1 2\n"))
+        for line in ("0 1 2", "0 x", "1.5 2"):
+            with pytest.raises(ValidationError, match=re.escape(repr(line))):
+                read_edgelist(io.StringIO(f"n=3\n{line}\n"))
 
 
 class TestGraphSampleValidation:

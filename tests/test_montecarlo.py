@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
-                     enumerate_exact, expected_lambda2_bounds, is_connected_bfs,
-                     lambda2, lambda2_variance_bounds, laplacian,
-                     line_graph_lambda_min, run_mc, sample_union, sweep,
+                     bound_report, enumerate_exact, expected_lambda2_bounds,
+                     is_connected_bfs, lambda2, lambda2_variance_bounds,
+                     laplacian, line_graph_lambda_min, run_mc, sample_union,
                      union_effective_params, wilson_interval)
 from erunion import montecarlo, rng
 from erunion.rng import trial_seed
@@ -314,38 +314,28 @@ class TestCoverage:
         assert est.var_lambda2 >= vb.lower
 
 
+def _bound_within_three_se(config):
+    """Run the configuration; return its certified bound after checking that
+    the bound exceeds the empirical frequency by at most three binomial
+    standard errors."""
+    est = run_mc(config)
+    bound = bound_report(config.params, config.num_graphs).prob_lower
+    emp = est.prob_ge_lambda_min
+    se = math.sqrt(max(emp * (1 - emp), 1e-12) / est.trials)
+    assert bound <= emp + 3 * se
+    return bound
+
+
 class TestSweep:
-    def test_empty(self):
-        assert sweep([]) == []
-
-    def test_preserves_order_and_isolates_errors(self):
-        good = McConfig(ModelParams(8, 0.4), 1, 200, 5)
-        bad = McConfig(ModelParams(2001, 0.4), 1, 10, 5)   # beyond eigensolver ceiling
-        rows = sweep([good, bad, good])
-        assert [r.error is None for r in rows] == [True, False, True]
-        assert rows[1].estimate is None
-        assert "CapabilityError" in rows[1].error
-        assert rows[0].estimate == rows[2].estimate
-
     def test_reference_probability_table_sweep(self):
         # five (n=50, N=50) rows: analytic bound never exceeds the empirical
         # frequency by more than three binomial standard errors
-        configs = [McConfig(ModelParams(50, p), 50, trials=5000, master_seed=9)
-                   for p in (0.05, 0.10, 0.15, 0.20, 0.25)]
-        rows = sweep(configs)
-        assert len(rows) == 5
-        for row in rows:
-            emp = row.estimate.prob_ge_lambda_min
-            se = math.sqrt(max(emp * (1 - emp), 1e-12) / row.estimate.trials)
-            assert row.bounds.prob_lower <= emp + 3 * se
+        for p in (0.05, 0.10, 0.15, 0.20, 0.25):
+            _bound_within_three_se(McConfig(ModelParams(50, p), 50, trials=5000,
+                                            master_seed=9))
 
     def test_deeper_union_sweep_bound_nondecreasing(self):
-        configs = [McConfig(ModelParams(50, 0.1), num, trials=2000, master_seed=10)
-                   for num in (25, 50, 75, 100, 125)]
-        rows = sweep(configs)
-        bounds = [r.bounds.prob_lower for r in rows]
+        bounds = [_bound_within_three_se(McConfig(ModelParams(50, 0.1), num,
+                                                  trials=2000, master_seed=10))
+                  for num in (25, 50, 75, 100, 125)]
         assert all(b >= a for a, b in zip(bounds, bounds[1:]))
-        for row in rows:
-            emp = row.estimate.prob_ge_lambda_min
-            se = math.sqrt(max(emp * (1 - emp), 1e-12) / row.estimate.trials)
-            assert row.bounds.prob_lower <= emp + 3 * se

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from erunion import (CapabilityError, ModelParams, enumerate_exact,
+from erunion import (CapabilityError, ModelParams, all_pairs, enumerate_exact,
                      exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
 from erunion.graphs import laplacians_from_masks
 from erunion.oracle import _structure
-from erunion.spectral import EPS_ZERO
+from erunion.spectral import EPS_ZERO, line_graph_lambda_min
 
 
 class TestWeights:
@@ -65,11 +65,16 @@ class TestSharedIndicators:
     # labelled connected graphs on n nodes (OEIS A001187)
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
     def test_indicators_over_every_graph(self, n, count):
-        connected, ge_lambda_min = _structure(n)[-2:]
+        lambda2s, _, connected = _structure(n)[-3:]
         assert len(connected) == 1 << (n * (n - 1) // 2)
         assert int(np.count_nonzero(connected)) == count
-        # every connected graph clears the line-graph floor, within the slack
-        assert np.array_equal(ge_lambda_min, connected)
+        # Fiedler's floor: every connected graph has lambda_2 >= lambda_min,
+        # and the path attains it
+        lam_min = line_graph_lambda_min(n)
+        assert lambda2s[connected].min() >= lam_min - 1e-12
+        pairs = all_pairs(n)
+        path = sum(1 << pairs.index((i, i + 1)) for i in range(n - 1))
+        assert lambda2s[path] == pytest.approx(lam_min, abs=1e-12)
 
 
 class TestUnionReports:
