@@ -227,15 +227,12 @@ def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
     e_lo, e_hi = expected_lambda2_bounds(u)
     var = lambda2_variance_bounds(u)
     lam = line_graph_lambda_min(params.n)
-    theta = None
-    prob = None
     try:
         pb = connectivity_probability_bound(params, num_graphs)
-    except InfeasibleError:
-        pb = None
-    if pb is not None and pb.status in ("certified", "zero_lower_bound"):
-        theta = pb.theta
-        prob = pb.value
+    except InfeasibleError:  # n = 2: no union size has a bound
+        theta = prob = None
+    else:
+        theta, prob = pb.theta, pb.value
     return BoundReport(e_lambda2_lower=e_lo, e_lambda2_upper=e_hi,
                        var_lambda2_lower=var.lower, var_lambda2_upper=var.upper,
                        lambda_min=lam, theta=theta, prob_lower=prob)

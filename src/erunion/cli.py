@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .errors import CapabilityError, InfeasibleError, ValidationError
 from .graphs import ModelParams, sample_union, write_edgelist
 from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc
-from .oracle import enumerate_exact, exact_union_report
+from .oracle import exact_union_report
 from .rng import trial_seed
 
 EXIT_OK = 0
@@ -33,17 +32,6 @@ EXIT_CAPABILITY = 3
 
 def _dump_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("ERUNION_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError(f"ERUNION_WORKERS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _printed_size(value: int) -> int | float:
@@ -103,9 +91,7 @@ def _cmd_probbound(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    which = args.which
-    prec = args.precision
-    if which == 1:
+    if args.which == 1:
         rows = tables.table1()
         if args.json:
             _dump_json({"table": 1, "ns": list(tables.TABLE1_NS),
@@ -114,32 +100,31 @@ def _cmd_tables(args) -> int:
             print("p," + ",".join(str(n) for n in tables.TABLE1_NS))
             for p, vals in rows:
                 print(f"{p}," + ",".join(str(v) for v in vals))
-    elif which == 2:
+        return EXIT_OK
+
+    # tables 2 and 3: one varied column (p or N) and the probability bound
+    if args.which == 2:
         rows = tables.table2()
-        if args.json:
-            _dump_json({"table": 2, "n": tables.TABLE2_N, "N": tables.TABLE2_UNION,
-                        "rows": [{"p": p, "prob_lower_bound": v} for p, v in rows]})
-        else:
-            print("p,prob_lower_bound")
-            for p, v in rows:
-                print(f"{p},{v:.{prec}f}")
+        fixed = {"n": tables.TABLE2_N, "N": tables.TABLE2_UNION}
+        column = "p"
     else:
         rows = tables.table3()
-        if args.json:
-            _dump_json({"table": 3, "n": tables.TABLE3_N, "p": tables.TABLE3_P,
-                        "rows": [{"N": num, "prob_lower_bound": v} for num, v in rows]})
-        else:
-            print("N,prob_lower_bound")
-            for num, v in rows:
-                print(f"{num},{v:.{prec}f}")
+        fixed = {"n": tables.TABLE3_N, "p": tables.TABLE3_P}
+        column = "N"
+    if args.json:
+        _dump_json({"table": args.which, **fixed,
+                    "rows": [{column: x, "prob_lower_bound": v} for x, v in rows]})
+    else:
+        print(f"{column},prob_lower_bound")
+        for x, v in rows:
+            print(f"{x},{v:.{args.precision}f}")
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
     params = ModelParams(args.n, args.p)
-    workers = args.workers if args.workers is not None else _default_workers()
     config = McConfig(params=params, num_graphs=args.N, trials=args.trials,
-                      master_seed=args.seed, workers=workers)
+                      master_seed=args.seed, workers=args.workers)
     report = bound_report(params, args.N)  # rejects degenerate inputs before sampling
     estimate = run_mc(config)
     if args.dump_graphs is not None:
@@ -162,14 +147,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = ModelParams(args.n, args.p)
-    if args.N is None:
-        report = enumerate_exact(params)
-        p_eff = args.p
-    else:
-        report = exact_union_report(params, args.N)
-        p_eff = union_effective_params(params, args.N).p_hat
-    hat = ModelParams(args.n, p_eff)
+    report = exact_union_report(ModelParams(args.n, args.p), args.N)
+    hat = ModelParams(args.n, report.p)
     analytic = {k: eigenvalue_moment(hat, k) for k in (1, 2, 3, 4)}
     max_rel = max(abs(report.eigenvalue_moments[k] - analytic[k]) / abs(analytic[k])
                   for k in (1, 2, 3, 4))
@@ -177,8 +156,8 @@ def _cmd_oracle(args) -> int:
     payload = {
         "n": args.n,
         "p": args.p,
-        "num_graphs": args.N if args.N is not None else 1,
-        "effective_p": p_eff,
+        "num_graphs": args.N,
+        "effective_p": report.p,
         "exact": {
             "eigenvalue_moments": report.eigenvalue_moments,
             "expected_trace_lk": report.expected_trace_lk,
@@ -230,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--N", type=int, required=True)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--workers", type=int, default=None,
+    p_mc.add_argument("--workers", type=int, default=1,
                       help="worker threads, at most one per usable CPU, sharing the "
-                           "trial chunks on one OpenBLAS thread (default: ERUNION_WORKERS, "
-                           "else 1)")
+                           "trial chunks on one OpenBLAS thread (default: 1)")
     p_mc.add_argument("--json", action="store_true")  # JSON is already the output format
     p_mc.add_argument("--dump-graphs", metavar="DIR", default=None,
                       help="write each trial's union graph as an edge-list file (debugging)")
@@ -242,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="exact enumeration vs closed forms (JSON report)")
     p_or.add_argument("--n", type=int, required=True)
     p_or.add_argument("--p", type=float, required=True)
-    p_or.add_argument("--N", type=int, default=None)
+    p_or.add_argument("--N", type=int, default=1)
     p_or.add_argument("--json", action="store_true")  # JSON is already the output format
     p_or.set_defaults(func=_cmd_oracle)
 

@@ -206,24 +206,29 @@ def write_edgelist(g: GraphSample, fp: IO[str]) -> None:
         fp.write(f"{i} {j}\n")
 
 
+def _is_ascii_number(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def read_edgelist(fp: IO[str]) -> GraphSample:
-    """Parse the edge-list text format produced by :func:`write_edgelist`."""
+    """Parse the edge-list text format produced by :func:`write_edgelist`: a
+    header ``n=<count>``, then one ``i j`` pair per line with ``i < j``, each
+    pair at most once and every number in ASCII digits."""
     header = fp.readline().strip()
-    if not header.startswith("n="):
+    if not (header.startswith("n=") and _is_ascii_number(header[2:])):
         raise ValidationError(f"edge-list header must be 'n=<count>', got {header!r}")
-    try:
-        n = int(header[2:])
-    except ValueError as exc:
-        raise ValidationError(f"bad node count in header {header!r}") from exc
-    edges = []
+    edges = set()
     for line in fp:
         line = line.strip()
         if not line:
             continue
         parts = line.split()
-        try:
-            i, j = map(int, parts)
-        except ValueError as exc:
-            raise ValidationError(f"bad edge line {line!r}") from exc
-        edges.append((i, j))
-    return GraphSample.from_edges(n, edges)
+        if len(parts) != 2 or not all(map(_is_ascii_number, parts)):
+            raise ValidationError(f"bad edge line {line!r}")
+        i, j = int(parts[0]), int(parts[1])
+        if i >= j:
+            raise ValidationError(f"edge line {line!r} needs i < j")
+        if (i, j) in edges:
+            raise ValidationError(f"edge line {line!r} repeats an earlier pair")
+        edges.add((i, j))
+    return GraphSample.from_edges(int(header[2:]), edges)

@@ -2,9 +2,12 @@
 
 Every edge subset of the n(n-1)/2 admissible pairs is enumerated as a bitmask
 over the lexicographic pair order (bit e = pair e); a graph with m edges has
-probability weight p^m q^(M-m). All quantities are probability-weighted sums
-over the full 2^M-graph sample space and are entirely independent of the
-closed-form moment formulas they are used to check.
+probability weight p^m q^(M-m). That weight depends on m alone, so it is
+evaluated once for each m in 0..M and gathered by edge count. The traces
+tr L^k, k = 1..4, come from one batched product L^2 (see ``_structure``). All
+quantities are probability-weighted sums over the full 2^M-graph sample space
+and are entirely independent of the closed-form moment formulas they are used
+to check.
 
 A graph counts as connected when lambda_2 > ``EPS_ZERO``; by Fiedler's
 theorem these are exactly the graphs with lambda_2 >= lambda_min, so
@@ -12,7 +15,6 @@ theorem these are exactly the graphs with lambda_2 >= lambda_min, so
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,33 +45,28 @@ class ExactReport:
 @lru_cache(maxsize=8)
 def _structure(n: int):
     """Per-bitmask edge counts, Laplacian power traces, lambda_2, lambda_2^2
-    and the connectivity indicator (all p-free)."""
+    and the connectivity indicator (all p-free).
+
+    One product L^2 gives all four traces: tr(AB) is the entrywise sum of
+    A * B when B is symmetric, and L and L^2 are, so tr L^2 = sum(L * L),
+    tr L^3 = sum(L^2 * L) and tr L^4 = sum(L^2 * L^2). Every entry is a small
+    integer, so the traces are exact.
+    """
     m = n * (n - 1) // 2
     masks = np.arange(1 << m, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.uint8)
-    edge_counts = bits.sum(axis=1, dtype=np.float64)
+    edge_counts = bits.sum(axis=1, dtype=np.int64)
     lap = laplacians_from_masks(bits, n)
 
     l2 = lap @ lap
-    l3 = l2 @ lap
-    l4 = l3 @ lap
     traces = {
         1: np.einsum("bii->b", lap),
-        2: np.einsum("bii->b", l2),
-        3: np.einsum("bii->b", l3),
-        4: np.einsum("bii->b", l4),
+        2: np.einsum("bij,bij->b", lap, lap),
+        3: np.einsum("bij,bij->b", l2, lap),
+        4: np.einsum("bij,bij->b", l2, l2),
     }
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
     return edge_counts, traces, lambda2s, lambda2s * lambda2s, lambda2s > EPS_ZERO
-
-
-def _weights(edge_counts: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
-    q = 1.0 - p
-    if min(p, q) < 1e-3:
-        # log-space path for extreme probabilities
-        logw = edge_counts * math.log(p) + (num_pairs - edge_counts) * math.log1p(-p)
-        return np.exp(logw)
-    return p ** edge_counts * q ** (num_pairs - edge_counts)
 
 
 def enumerate_exact(params: ModelParams) -> ExactReport:
@@ -79,7 +76,8 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
     edge_counts, traces, lambda2s, lambda2s_sq, connected = _structure(n)
-    w = _weights(edge_counts, params.num_pairs, params.p)
+    m = np.arange(params.num_pairs + 1)
+    w = (params.p ** m * params.q ** (params.num_pairs - m))[edge_counts]
     prob_connected = float(w[connected].sum())
     return ExactReport(
         n=n,

@@ -25,21 +25,18 @@ def table1() -> list[tuple[float, list[int]]]:
             for p in TABLE1_PS]
 
 
+def _certified_bound(n: int, p: float, num_graphs: int) -> float:
+    """Probability lower bound of one table cell; every cell is certified."""
+    res = connectivity_probability_bound(ModelParams(n, p), num_graphs)
+    assert res.status == "certified", res.status
+    return res.value
+
+
 def table2() -> list[tuple[float, float]]:
     """Rows (p, probability lower bound) at n=50, N=50."""
-    rows = []
-    for p in TABLE2_PS:
-        res = connectivity_probability_bound(ModelParams(TABLE2_N, p), TABLE2_UNION)
-        assert res.status == "certified", res.status
-        rows.append((p, res.value))
-    return rows
+    return [(p, _certified_bound(TABLE2_N, p, TABLE2_UNION)) for p in TABLE2_PS]
 
 
 def table3() -> list[tuple[int, float]]:
     """Rows (N, probability lower bound) at n=50, p=0.1."""
-    rows = []
-    for num in TABLE3_UNIONS:
-        res = connectivity_probability_bound(ModelParams(TABLE3_N, TABLE3_P), num)
-        assert res.status == "certified", res.status
-        rows.append((num, res.value))
-    return rows
+    return [(num, _certified_bound(TABLE3_N, TABLE3_P, num)) for num in TABLE3_UNIONS]

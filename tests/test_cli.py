@@ -127,12 +127,21 @@ class TestTables:
         assert code == 0
         assert out == (DATA / f"table{which}.csv").read_text()
 
-    def test_json_structure(self, capsys):
-        code, out, _ = run_cli(capsys, "tables", "2", "--json")
+    @pytest.mark.parametrize("which,keys,row_keys", [
+        (1, {"ns"}, {"p", "n_min"}),
+        (2, {"n", "N"}, {"p", "prob_lower_bound"}),
+        (3, {"n", "p"}, {"N", "prob_lower_bound"}),
+    ], ids=["1", "2", "3"])
+    def test_json_structure(self, capsys, which, keys, row_keys):
+        code, out, _ = run_cli(capsys, "tables", str(which), "--json")
+        assert code == 0
         payload = json.loads(out)
-        assert payload["table"] == 2
+        assert set(payload) == {"table", "rows"} | keys
+        assert payload["table"] == which
         assert len(payload["rows"]) == 5
-        assert payload["rows"][0]["prob_lower_bound"] == pytest.approx(0.3587, abs=1e-3)
+        assert all(set(row) == row_keys for row in payload["rows"])
+        if which == 2:
+            assert payload["rows"][0]["prob_lower_bound"] == pytest.approx(0.3587, abs=1e-3)
 
 
 class TestMc:
@@ -169,25 +178,6 @@ class TestMc:
                                "--trials", "10", "--seed", "0")
         assert code == 3
         assert "error" in err
-
-    def test_worker_env_default(self, capsys, monkeypatch):
-        # ERUNION_WORKERS feeds the default; the result never depends on it
-        monkeypatch.setenv("ERUNION_WORKERS", "3")
-        args = ["mc", "--n", "8", "--p", "0.4", "--N", "1",
-                "--trials", "500", "--seed", "2"]
-        _, out_env, _ = run_cli(capsys, *args)
-        monkeypatch.delenv("ERUNION_WORKERS")
-        _, out_plain, _ = run_cli(capsys, *args)
-        assert out_env == out_plain
-
-    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
-    def test_bad_worker_env_is_a_domain_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("ERUNION_WORKERS", raw)
-        code, out, err = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "1",
-                                 "--trials", "5", "--seed", "2")
-        assert code == 2
-        assert out == ""
-        assert "ERUNION_WORKERS" in err
 
     def test_dump_graphs_round_trip(self, capsys, tmp_path):
         outdir = tmp_path / "graphs"

@@ -196,13 +196,17 @@ class TestSerialisation:
         assert buf.getvalue() == "n=3\n0 2\n"
 
     def test_bad_header(self):
-        with pytest.raises(ValidationError):
-            read_edgelist(io.StringIO("nodes=3\n0 1\n"))
+        for header in ("nodes=3", "n=+3", "n=1_0"):
+            with pytest.raises(ValidationError):
+                read_edgelist(io.StringIO(f"{header}\n0 1\n"))
 
     def test_bad_edge_line(self):
-        for line in ("0 1 2", "0 x", "1.5 2"):
+        # (lines before, offending line): one ASCII-digit pair i < j per line, each once
+        cases = [("", "0 1 2"), ("", "0 x"), ("", "1.5 2"), ("", "1_0 2"), ("", "+1 2"),
+                 ("", "\u0661 2"), ("", "1 0"), ("", "1 1"), ("0 1\n", "0 1")]
+        for before, line in cases:
             with pytest.raises(ValidationError, match=re.escape(repr(line))):
-                read_edgelist(io.StringIO(f"n=3\n{line}\n"))
+                read_edgelist(io.StringIO(f"n=12\n{before}{line}\n"))
 
 
 class TestGraphSampleValidation:

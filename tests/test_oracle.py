@@ -1,4 +1,5 @@
 """Exact enumeration: weights, hand-checkable values, and union equivalence."""
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,20 @@ class TestWeights:
     def test_weights_sum_to_one(self, n, p):
         rep = enumerate_exact(ModelParams(n, p))
         assert rep.weight_total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("p", [1e-4, 5e-4])
+    def test_small_p_matches_extended_precision(self, n, p):
+        # P[connected] = sum over m of (connected graphs with m edges) p^m q^(M-m),
+        # summed in 50-digit arithmetic from the same double p
+        edge_counts, _, _, _, connected = _structure(n)
+        counts = np.bincount(edge_counts[connected])
+        num_pairs = n * (n - 1) // 2
+        with mp.workdps(50):
+            exact = mp.fsum(int(c) * mp.mpf(p) ** m * (1 - mp.mpf(p)) ** (num_pairs - m)
+                            for m, c in enumerate(counts))
+            got = enumerate_exact(ModelParams(n, p)).prob_connected
+            assert abs(mp.mpf(got) - exact) / exact <= 1e-15
 
 
 class TestHandCheckableValues:
