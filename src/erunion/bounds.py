@@ -24,6 +24,13 @@ because no graph has lambda_2 in (0, lambda_min):
 
 So the Paley-Zygmund value is also a lower bound on P[lambda_2 >= lambda_min],
 the probability the paper names.
+
+Numerics. The closed forms are evaluated without cancellation, so no clamp is
+needed: var2 = m4 - m2^2 as n p q (8 + (n-2) p (21 + (8n-21) p)) in
+:mod:`erunion.moments`, m2 - (n p_hat)^2 as 2 n p_hat q_hat, and lambda_min as
+2 sin^2(pi/n) / (1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is then
+0 for every n >= 3 and 4 p_hat q_hat at n = 2 (proof in
+:func:`lambda2_variance_bounds`).
 """
 from __future__ import annotations
 
@@ -59,7 +66,6 @@ class NminResult:
 class VarianceBounds:
     lower: float
     upper: float
-    lower_clamped: bool
 
 
 @dataclass(frozen=True)
@@ -125,26 +131,32 @@ def expected_lambda2_bounds(u: UnionParams) -> tuple[float, float]:
 
 
 def lambda2_variance_bounds(u: UnionParams) -> VarianceBounds:
-    """Bounds on Var[lambda_2] of the union from the second-moment sandwich."""
+    """Bounds on Var[lambda_2] of the union from the second-moment sandwich.
+
+    The paper's lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
+    m2 - (n p_hat)^2 = 2 n p_hat q_hat. With sigma2^2 = n p_hat q_hat
+    (8 + (n-2) p_hat (21 + (8n-21) p_hat)) it is negative exactly when
+    4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
+    For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
+    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat.
+    """
     n = u.base.n
-    hat = ModelParams(n, u.p_hat)
-    m2 = eigenvalue_moment(hat, 2)
-    lower_raw = m2 - eigenvalue_variances(hat).sigma2 * math.sqrt(n - 2) - (n * u.p_hat) ** 2
+    ms = eigenvalue_variances(ModelParams(n, u.p_hat))
+    lower = 2.0 * n * u.p_hat * u.q_hat - ms.sigma2 * math.sqrt(n - 2)
     # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw lower bound, 0)^2
-    upper = m2 - max(_e_lambda2_lower_raw(n, u.p_hat, u.q_hat), 0.0) ** 2
-    return VarianceBounds(lower=max(lower_raw, 0.0), upper=upper,
-                          lower_clamped=lower_raw < 0.0)
+    upper = ms.m2 - max(_e_lambda2_lower_raw(n, u.p_hat, u.q_hat), 0.0) ** 2
+    return VarianceBounds(lower=max(lower, 0.0), upper=upper)
 
 
 def _nmin_log_argument(n: int) -> float:
     """Argument of the n_min logarithm, evaluated without cancellation.
 
     Written as (2n(n-2) + 4nu - 2n(n-2)*(sqrt(1+x) - 1)) / (6n^2 - 8n) with
-    u = 1 - cos(pi/n) and x = (4u - 8u^2/n)/(n-2); equivalent to
+    u = lambda_min/2 and x = (4u - 8u^2/n)/(n-2); equivalent to
     (4n^2 + 4n(1-cos(pi/n)) - tau(n) - 8n) / (6n^2 - 8n) where
     tau(n) = sqrt(16n^2(n-2)u + 32n(2-n)u^2 + 4n^2(n-2)^2).
     """
-    u = 1.0 - math.cos(math.pi / n)
+    u = 0.5 * line_graph_lambda_min(n)
     x = (4.0 * u - 8.0 * u * u / n) / (n - 2)
     s = x / (1.0 + math.sqrt(1.0 + x))  # sqrt(1+x) - 1, cancellation-free
     num = 2.0 * n * (n - 2) + 4.0 * n * u - 2.0 * n * (n - 2) * s

@@ -22,7 +22,7 @@ from .errors import CapabilityError, InfeasibleError, ValidationError
 from .graphs import ModelParams, sample_union, write_edgelist
 from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc
-from .oracle import exact_union_report
+from .oracle import enumerate_exact
 from .rng import trial_seed
 
 EXIT_OK = 0
@@ -147,12 +147,13 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    report = exact_union_report(ModelParams(args.n, args.p), args.N)
-    hat = ModelParams(args.n, report.p)
+    u = union_effective_params(ModelParams(args.n, args.p), args.N)
+    hat = ModelParams(args.n, u.p_hat)
+    report = enumerate_exact(hat)
     analytic = {k: eigenvalue_moment(hat, k) for k in (1, 2, 3, 4)}
     max_rel = max(abs(report.eigenvalue_moments[k] - analytic[k]) / abs(analytic[k])
                   for k in (1, 2, 3, 4))
-    e_lo, e_hi = expected_lambda2_bounds(union_effective_params(hat, 1))
+    e_lo, e_hi = expected_lambda2_bounds(u)
     payload = {
         "n": args.n,
         "p": args.p,

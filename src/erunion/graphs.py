@@ -231,4 +231,4 @@ def read_edgelist(fp: IO[str]) -> GraphSample:
         if (i, j) in edges:
             raise ValidationError(f"edge line {line!r} repeats an earlier pair")
         edges.add((i, j))
-    return GraphSample.from_edges(int(header[2:]), edges)
+    return GraphSample(int(header[2:]), frozenset(edges))

@@ -8,7 +8,6 @@ n * c_k, while the structural zero eigenvalue contributes nothing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -26,7 +25,6 @@ class MomentSet:
     var1: float      # Var of an eigenvalue: 2npq
     var2: float      # Var of a squared eigenvalue: m4 - m2^2
     sigma2: float    # sqrt(var2)
-    var2_clamped: bool = False
 
 
 def _coefficient(n: int, p: float, k: int) -> float:
@@ -55,16 +53,13 @@ def eigenvalue_moment(params: ModelParams, k: int) -> float:
 
 
 def eigenvalue_variances(params: ModelParams) -> MomentSet:
-    """All four moments plus Var of an eigenvalue (2npq) and of its square."""
+    """All four moments plus Var of an eigenvalue (2npq) and of its square.
+
+    var2 = m4 - m2^2 is evaluated as n p q (8 + (n-2) p (21 + (8n-21) p)), a
+    sum of nonnegative terms for n >= 2, so rounding cannot make it negative.
+    """
+    n, p, q = params.n, params.p, params.q
     m = [eigenvalue_moment(params, k) for k in (1, 2, 3, 4)]
-    var1 = 2.0 * params.n * params.p * params.q
-    var2 = m[3] - m[1] * m[1]
-    clamped = var2 < 0.0
-    if clamped:
-        # analytically nonnegative; can only go negative through rounding
-        warnings.warn(f"var2 = {var2:.3e} < 0 from rounding; clamped to 0",
-                      RuntimeWarning, stacklevel=2)
-        var2 = 0.0
+    var2 = n * p * q * (8.0 + (n - 2) * p * (21.0 + (8 * n - 21) * p))
     return MomentSet(m1=m[0], m2=m[1], m3=m[2], m4=m[3],
-                     var1=var1, var2=var2, sigma2=math.sqrt(var2),
-                     var2_clamped=clamped)
+                     var1=2.0 * n * p * q, var2=var2, sigma2=math.sqrt(var2))

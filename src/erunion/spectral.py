@@ -146,9 +146,11 @@ def line_graph_lambda_min(n: int) -> float:
     """Minimum algebraic connectivity over connected n-node graphs.
 
     Attained by the n-node path: 2(1 - cos(pi/n)) (Fiedler 1973). So a graph
-    has lambda_2 >= lambda_min exactly when it is connected.
+    has lambda_2 >= lambda_min exactly when it is connected. Evaluated as
+    2 sin^2(pi/n) / (1 + cos(pi/n)) to avoid cancellation at large n.
     """
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    return 2.0 * (1.0 - math.cos(math.pi / n))
+    t = math.pi / n
+    return 2.0 * math.sin(t) ** 2 / (1.0 + math.cos(t))
 

@@ -135,6 +135,23 @@ class TestVarianceBounds:
         assert vb.lower <= vb.upper
         assert vb.lower >= 0.0
 
+    @pytest.mark.parametrize("n,p,num", [
+        (3, 0.5, 1), (3, 0.99, 1), (4, 0.9, 3), (6, 0.83, 20), (10, 0.9, 1),
+        (50, 0.1, 50), (80, 0.5, 50), (300, 0.5, 52), (10**5, 1e-5, 2)])
+    def test_lower_is_zero_for_n_at_least_3(self, n, p, num):
+        # the raw bound is negative for every n >= 3 (see the docstring);
+        # at (80, 0.5, 50) the difference form printed 9.09e-13
+        vb = lambda2_variance_bounds(union_effective_params(ModelParams(n, p), num))
+        assert vb.lower == 0.0
+        assert vb.upper > 0.0
+
+    @pytest.mark.parametrize("p,num", [(0.3, 1), (0.3, 3), (0.5, 2), (0.01, 1), (0.9, 2),
+                                       (0.96, 10)])
+    def test_lower_at_n2_is_4pq(self, p, num):
+        # at (0.96, 10), q_hat ~ 1e-14 and m2 - (2 p_hat)^2 was off by 0.5 %
+        u = union_effective_params(ModelParams(2, p), num)
+        assert lambda2_variance_bounds(u).lower == 4.0 * u.p_hat * u.q_hat
+
 
 class TestExactSoundnessGrid:
     def test_bounds_hold_against_exact_enumeration(self):
@@ -278,3 +295,15 @@ class TestConnectivityProbabilityBound:
     def test_n2_propagates_infeasible(self):
         with pytest.raises(InfeasibleError):
             connectivity_probability_bound(ModelParams(2, 0.5), 10)
+
+    def test_zero_lower_bound_guard(self, monkeypatch):
+        # unreachable in exact arithmetic for N >= n_min; the guard keeps a
+        # nonpositive mean bound from giving a positive Paley-Zygmund value
+        from erunion import bounds
+        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
+        params = ModelParams(50, 0.1)
+        res = connectivity_probability_bound(params, 50)
+        assert res.status == "zero_lower_bound"
+        assert res.value == 0.0
+        assert res.theta is None
+        assert bound_report(params, 50).prob_lower == 0.0

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from erunion import lambda2, laplacian, read_edgelist
+from erunion import (ModelParams, bound_report, lambda2, laplacian,
+                     read_edgelist)
 from erunion.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -215,6 +216,14 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--p", "0.5", "--N", "2")
         payload = json.loads(out)
         assert payload["effective_p"] == pytest.approx(0.75)
+
+    def test_bounds_match_bound_report(self, capsys):
+        # both use the union's own q_hat, not 1 - p_hat
+        code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--p", "0.83", "--N", "20")
+        assert code == 0
+        rep = bound_report(ModelParams(6, 0.83), 20)
+        assert json.loads(out)["expected_lambda2_bounds"] == {
+            "lower": rep.e_lambda2_lower, "upper": rep.e_lambda2_upper}
 
     def test_capability_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "7", "--p", "0.5")

@@ -2,9 +2,10 @@
 import math
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erunion import (ModelParams, ValidationError, eigenvalue_moment,
@@ -144,3 +145,24 @@ class TestVariances:
         assert ms.var1 >= 0
         assert ms.var2 >= 0
         assert ms.m1 == pytest.approx(n * p, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 80, 300, 1000, 10**5])
+    @pytest.mark.parametrize("p", [1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 2.0**-52])
+    def test_var2_matches_extended_precision(self, n, p):
+        # m4 - m2^2 from the same coefficients at 50 digits; the subtraction
+        # in double precision loses every digit near p = 1 at large n
+        with mpmath.workdps(50):
+            mp = mpmath.mpf(p)
+            c2 = ((n - 2) * mp + 2) * mp
+            c4 = ((((n - 7) * (n - 3) * (n - 2) * mp + 6 * (2 * n - 7) * (n - 2)) * mp
+                   + 25 * (n - 2)) * mp + 8) * mp
+            ref = float(n * c4 - (n * c2) ** 2)
+        assert eigenvalue_variances(ModelParams(n, p)).var2 == pytest.approx(ref, rel=1e-12)
+
+    @given(st.integers(2, 10**5), st.floats(1e-12, 1.0 - 1e-15))
+    @example(300, 1.0 - 2.0**-52)  # a union p_hat at which m4 - m2^2 rounds below 0
+    @settings(max_examples=300, deadline=None)
+    def test_var2_positive(self, n, p):
+        ms = eigenvalue_variances(ModelParams(n, p))
+        assert ms.var2 > 0.0
+        assert ms.sigma2 > 0.0

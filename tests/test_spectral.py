@@ -1,6 +1,7 @@
 """Eigenvalue solver accuracy against closed-form spectra."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,7 +117,17 @@ class TestStructuredMatrix:
 
 class TestLineGraphMinimum:
     def test_n2(self):
-        assert line_graph_lambda_min(2) == pytest.approx(2.0)
+        assert line_graph_lambda_min(2) == 2.0
+
+    def test_matches_extended_precision(self):
+        # the difference form 2(1 - cos(pi/n)) errs by 9.5e-12 at n = 1000
+        # and is 0.0 from n ~ 1e9
+        ns = list(range(2, 2001)) + [10**k for k in range(4, 10)]
+        with mpmath.workdps(40):
+            for n in ns:
+                ref = 2 * (1 - mpmath.cos(mpmath.pi / n))
+                assert abs(line_graph_lambda_min(n) - ref) <= 1e-15 * ref, n
+        assert line_graph_lambda_min(10**9) > 0.0
 
     def test_n4_closed_form(self):
         assert line_graph_lambda_min(4) == pytest.approx(2 - math.sqrt(2), abs=1e-12)
