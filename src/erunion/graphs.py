@@ -53,7 +53,7 @@ class ModelParams:
         graph. Raises :class:`ValidationError` when p_hat rounds to 1 in
         double precision.
         """
-        if not isinstance(num_graphs, int) or num_graphs < 1:
+        if not isinstance(num_graphs, int) or isinstance(num_graphs, bool) or num_graphs < 1:
             raise ValidationError(f"num_graphs must be a positive integer, got {num_graphs!r}")
         if num_graphs == 1:
             return self.p, self.q

@@ -20,6 +20,20 @@ below ``EPS_ZERO``, so the connectivity frequency is that of solving every
 union; the lambda_2 mean, variance and their half-widths may differ from
 that in their low digits, and only in runs that hold such a trial.
 
+A union with a node of degree n - 1 is solved through its complement graph
+Gc, which is small for the near-complete unions of the paper's certified
+regime. Laplacians of complementary graphs sum to nI - J, so on the vectors
+orthogonal to the all-ones vector the spectrum of L(G) is n minus that of
+L(Gc), and lambda_2(G) = n - lambda_max(L(Gc)). L(Gc) is zero on every node
+of degree n - 1 in G, so lambda_max(L(Gc)) is the largest eigenvalue of
+L(Gc) restricted to S, the nodes Gc touches: a matrix of |S| <= n - 1 rows
+instead of n, and of none for the complete graph, whose lambda_2 is n.
+Such a union is connected with lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|,
+so the connectivity count is that of the full solve, and n - lambda_max
+does not cancel; the lambda_2 mean, variance and their half-widths may move
+in their low digits (about 1e-14 relative), and only in runs that hold
+such a trial.
+
 Trials run in chunks of consecutive indices whose size depends on n alone
 (and on the trial count when that is smaller), never on the worker count:
 small enough that a chunk's masks and Laplacians stay in cache (see
@@ -75,12 +89,10 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_graphs, int) or self.num_graphs < 1:
-            raise ValidationError(f"num_graphs must be a positive integer, got {self.num_graphs!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValidationError(f"workers must be a positive integer, got {self.workers!r}")
+        for name in ("num_graphs", "trials", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +123,52 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def lambda2s_from_masks(masks: np.ndarray, incident: np.ndarray) -> np.ndarray:
+    """lambda_2 of each union in a batch of edge masks over the lexicographic pairs.
+
+    ``incident`` is ``graphs.incident_pairs(n)`` for the node count n. A
+    union with a node of degree 0 gets 0.0, a union with a node of degree
+    n - 1 gets n - lambda_max of its complement's Laplacian on the nodes
+    the complement touches, and any other union is solved in full. Each
+    value depends on its own union alone, never on the rest of the batch.
+    """
+    n = len(incident)
+    lambda2s = np.zeros(len(masks))
+    live = masks[:, incident].any(axis=2).all(axis=1)
+    laps = laplacians_from_masks(masks[live], n)
+    degrees = laps.diagonal(axis1=1, axis2=2)
+    universal = (degrees == n - 1).any(axis=1)
+    if not universal.any():
+        lambda2s[live] = np.linalg.eigvalsh(laps)[:, 1]
+        return lambda2s
+    solved = np.empty(len(laps))
+    if not universal.all():
+        solved[~universal] = np.linalg.eigvalsh(laps[~universal])[:, 1]
+    rows = np.flatnonzero(universal)
+    # S, the nodes the complement touches, in ascending order, then the rest
+    touched = degrees[rows] < n - 1
+    sizes = touched.sum(axis=1)
+    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :sizes.max()]
+    # (nI - J - L)[S, S]: small integers, exact in float64
+    sub = -1.0 - laps[rows[:, None, None], nodes[:, :, None], nodes[:, None, :]]
+    diag = np.arange(nodes.shape[1])
+    sub[:, diag, diag] += n
+    # a complete union (|S| = 0) has lambda_2 = n; each |S| is its own batch so
+    # that no union's submatrix is padded by its batch-mates'
+    dense = np.full(len(rows), float(n))
+    for size in np.unique(sizes[sizes > 0]):
+        at = sizes == size
+        dense[at] = n - np.linalg.eigvalsh(sub[at, :size, :size])[:, -1]
+    solved[universal] = dense
+    lambda2s[live] = solved
+    return lambda2s
+
+
 def run_mc(config: McConfig) -> McEstimate:
     """Sample every trial, solve its lambda_2; aggregate deterministically.
 
-    Per trial: draw the union's edge mask at p_hat from the trial's stream;
-    if some node has no edge, lambda_2 is 0.0; otherwise assemble the
-    Laplacian and take its second-smallest eigenvalue. Aggregation
+    Per trial: draw the union's edge mask at p_hat from the trial's stream
+    and take its lambda_2 (:func:`lambda2s_from_masks`). Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
     """
@@ -129,7 +181,7 @@ def run_mc(config: McConfig) -> McEstimate:
     num_pairs = params.num_pairs
     trials = config.trials
 
-    lambda2s = np.zeros(trials)
+    lambda2s = np.empty(trials)
     chunk = max(1, min(trials, _EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
     starts = range(0, trials, chunk)
     pool_size = min(config.workers, len(starts), _usable_cpus())
@@ -139,10 +191,7 @@ def run_mc(config: McConfig) -> McEstimate:
         stop = min(start + chunk, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
         masks = rng.edge_masks(seeds, num_pairs, p_hat)
-        # only unions without a degree-0 node are solved; the rest keep 0.0
-        live = masks[:, incident].any(axis=2).all(axis=1)
-        laps = laplacians_from_masks(masks[live], n)
-        lambda2s[start:stop][live] = np.linalg.eigvalsh(laps)[:, 1]
+        lambda2s[start:stop] = lambda2s_from_masks(masks, incident)
 
     if pool_size == 1:
         for s in starts:

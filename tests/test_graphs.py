@@ -34,6 +34,11 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             ModelParams(n, p)
 
+    @pytest.mark.parametrize("num_graphs", [True, False, 0, 2.0])
+    def test_union_size_must_be_a_positive_integer(self, num_graphs):
+        with pytest.raises(ValidationError):
+            ModelParams(5, 0.5).effective_probabilities(num_graphs)
+
 
 class TestSampling:
     def test_p_near_one_gives_complete_graph(self):

@@ -12,6 +12,8 @@ from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      laplacian, line_graph_lambda_min, run_mc, sample_union,
                      union_effective_params, wilson_interval)
 from erunion import montecarlo, rng
+from erunion.graphs import incident_pairs, pair_arrays
+from erunion.montecarlo import lambda2s_from_masks
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
 
@@ -19,6 +21,10 @@ from erunion.spectral import EPS_ZERO
 # where about half the unions have a node of degree 0
 THRESHOLD_CONFIG = McConfig(ModelParams(40, 0.05), num_graphs=2, trials=300,
                             master_seed=2024)
+
+# n=30, N=6: p_hat = 0.984, so almost every union has a node joined to all
+# others and is solved through its complement
+DENSE_CONFIG = McConfig(ModelParams(30, 0.5), num_graphs=6, trials=300, master_seed=6)
 
 
 class TestDegenerateAndErrors:
@@ -56,6 +62,13 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValidationError):
             McConfig(ModelParams(5, 0.5), num_graphs=1, trials=0, master_seed=0)
 
+    @pytest.mark.parametrize("field", ["num_graphs", "trials", "workers"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_counts_reject_bool(self, field, value):
+        counts = {"num_graphs": 1, "trials": 10, "workers": 1, field: value}
+        with pytest.raises(ValidationError):
+            McConfig(ModelParams(5, 0.5), master_seed=0, **counts)
+
 
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
@@ -78,17 +91,29 @@ class TestDeterminism:
 
     def test_many_chunks_match_one_chunk(self, monkeypatch):
         cfg = McConfig(ModelParams(10, 0.6), num_graphs=1, trials=5000, master_seed=1)
-        n = cfg.params.n
-        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", cfg.trials * n * n)
-        counts = _count_blocks(monkeypatch)
-        base = run_mc(cfg)
-        assert counts == [(0, cfg.trials)]
-        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 37 * n * n)  # 136 chunks of <= 37
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        for workers in (1, 2):
-            counts.clear()
-            assert run_mc(dataclasses.replace(cfg, workers=workers)) == base
-            assert len(counts) == 136
+        _assert_many_chunks_match_one_chunk(monkeypatch, cfg)
+
+    def test_many_chunks_match_one_chunk_near_complete(self, monkeypatch):
+        # p_hat = 0.9375: 2 % of the unions are solved in full, the rest on
+        # complements of 16 to 29 nodes, so that chunks differ in their
+        # largest |S|, where padding a chunk's solves to it would show
+        cfg = McConfig(ModelParams(30, 0.5), num_graphs=4, trials=2000, master_seed=1)
+        _assert_many_chunks_match_one_chunk(monkeypatch, cfg)
+
+
+def _assert_many_chunks_match_one_chunk(monkeypatch, cfg):
+    """One chunk and chunks of <= 37 trials on 1 or 2 workers give equal results."""
+    n = cfg.params.n
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", cfg.trials * n * n)
+    counts = _count_blocks(monkeypatch)
+    base = run_mc(cfg)
+    assert counts == [(0, cfg.trials)]
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 37 * n * n)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    for workers in (1, 2):
+        counts.clear()
+        assert run_mc(dataclasses.replace(cfg, workers=workers)) == base
+        assert len(counts) == -(-cfg.trials // 37)
 
 
 def _count_blocks(monkeypatch) -> list[tuple[int, int]]:
@@ -201,13 +226,11 @@ class TestOneBlasThreadInPool:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         return seen
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_pool_runs_on_one_thread_and_restores(self, monkeypatch,
-                                                  blas_get_at_two_threads, fail):
-        get = blas_get_at_two_threads
-        seen = self._record_solves(monkeypatch, get, fail)
+    @staticmethod
+    def _assert_pool_runs_on_one_thread(monkeypatch, get, fail, config):
+        seen = TestOneBlasThreadInPool._record_solves(monkeypatch, get, fail)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        cfg = dataclasses.replace(THRESHOLD_CONFIG, workers=2)
+        cfg = dataclasses.replace(config, workers=2)
         if fail:
             with pytest.raises(RuntimeError):
                 run_mc(cfg)
@@ -216,9 +239,27 @@ class TestOneBlasThreadInPool:
         assert seen and seen == [(False, 1)] * len(seen)
         assert get() == 2
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_pool_runs_on_one_thread_and_restores(self, monkeypatch,
+                                                  blas_get_at_two_threads, fail):
+        self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
+                                             THRESHOLD_CONFIG)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_pool_runs_complement_solves_on_one_thread(self, monkeypatch,
+                                                       blas_get_at_two_threads, fail):
+        self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
+                                             DENSE_CONFIG)
+
     def test_serial_path_keeps_the_thread_count(self, monkeypatch, blas_get_at_two_threads):
         seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
         run_mc(THRESHOLD_CONFIG)
+        assert seen and seen == [(True, 2)] * len(seen)
+
+    def test_serial_complement_solves_keep_the_thread_count(self, monkeypatch,
+                                                            blas_get_at_two_threads):
+        seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
+        run_mc(DENSE_CONFIG)
         assert seen and seen == [(True, 2)] * len(seen)
 
 
@@ -248,6 +289,126 @@ class TestIsolatedNodeShortcut:
         var = float(np.sum((expected - mean) ** 2)) / (cfg.trials - 1)
         assert est.mean_lambda2 == mean
         assert est.var_lambda2 == var
+        assert est.prob_connected == sum(map(is_connected_bfs, graphs)) / cfg.trials
+
+
+def _complete_minus(n, removed):
+    """Edge mask over the lexicographic pairs of K_n without the removed edges."""
+    adj = np.ones((n, n), dtype=np.uint8)
+    for i, j in removed:
+        adj[i, j] = adj[j, i] = 0
+    return adj[pair_arrays(n)]
+
+
+def _solve_atol(mask, n):
+    """Tolerance on the lambda_2 of a union: 16 eps ||M|| for the matrix M it is
+    solved on, where ||M|| <= 2 rows. M is the complement's Laplacian on the
+    nodes it touches when some node has degree n - 1, else the n x n
+    Laplacian; LAPACK's eigenvalue error is a small multiple of eps ||M||
+    (4.5e-13 for the 200-node star, solved on 199 rows)."""
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[pair_arrays(n)] = mask
+    degrees = (adj + adj.T).sum(axis=1)
+    rows = np.count_nonzero(degrees < n - 1) if (degrees == n - 1).any() else n
+    return 16 * np.finfo(float).eps * 2 * max(rows, 1)
+
+
+CLOSED_FORM_NS = [3, 4, 5, 12, 50, 51, 200]
+
+
+def _closed_forms(family, n):
+    """(edge mask, lambda_2) of K_n minus each member of a subgraph family."""
+    if family == "one edge":
+        return [(_complete_minus(n, [(0, n - 1)]), n - 2.0)]
+    if family == "star":  # K_{1,s}: lambda_max of the complement is s + 1
+        return [(_complete_minus(n, [(0, v) for v in range(1, 1 + s)]), n - s - 1.0)
+                for s in sorted({1, 2, n // 2, n - 2}) if 1 <= s <= n - 2]
+    if family == "path":  # P_k: lambda_max of the complement is 2 + 2cos(pi/k)
+        return [(_complete_minus(n, [(v, v + 1) for v in range(k - 1)]),
+                 n - 2 - 2 * math.cos(math.pi / k))
+                for k in sorted({2, 3, n // 2, n - 1, n} - {1})]
+    if family == "perfect matching":  # at odd n the last node stays unmatched
+        return [(_complete_minus(n, [(2 * v, 2 * v + 1) for v in range(n // 2)]), n - 2.0)]
+    raise ValueError(family)
+
+
+def _assert_closed_forms(masks, expected, n):
+    got = lambda2s_from_masks(np.stack(masks), incident_pairs(n))
+    for mask, want, value in zip(masks, expected, got):
+        assert value == pytest.approx(want, abs=_solve_atol(mask, n))
+    return got
+
+
+class TestComplementReduction:
+    @pytest.mark.parametrize("n", [2] + CLOSED_FORM_NS)
+    def test_complete_graph_gives_n(self, n):
+        got = lambda2s_from_masks(_complete_minus(n, [])[None, :], incident_pairs(n))
+        assert got.tolist() == [float(n)]
+
+    @pytest.mark.parametrize("family", ["one edge", "star", "path", "perfect matching"])
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    def test_complete_graph_minus_subgraph(self, family, n):
+        masks, expected = zip(*_closed_forms(family, n))
+        _assert_closed_forms(masks, expected, n)
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    def test_mixed_batch(self, n):
+        # dense unions beside sparse ones and one with an isolated node; each
+        # value equals that of the union solved alone, bit for bit
+        cases = [(_complete_minus(n, []), float(n))]
+        for family in ("one edge", "star", "path", "perfect matching"):
+            cases += _closed_forms(family, n)
+        path = [(v, v + 1) for v in range(n - 1)]
+        cases += [
+            (1 - _complete_minus(n, path), line_graph_lambda_min(n)),
+            (1 - _complete_minus(n, path + [(0, n - 1)]), 2 - 2 * math.cos(2 * math.pi / n)),
+            (1 - _complete_minus(n, [(0, v) for v in range(1, n)]), 1.0),  # the star
+            (1 - _complete_minus(n, path[1:]), 0.0),  # node 0 isolated
+        ]
+        masks, expected = zip(*cases)
+        got = _assert_closed_forms(masks, expected, n)
+        assert got[-1] == 0.0
+        alone = np.concatenate([lambda2s_from_masks(m[None, :], incident_pairs(n))
+                                for m in masks])
+        assert np.array_equal(got, alone)
+
+
+class TestComplementShortcut:
+    @pytest.mark.parametrize("cfg", [
+        # p_hat = 0.875: some unions have a node of degree n - 1, some do not
+        McConfig(ModelParams(30, 0.5), num_graphs=3, trials=300, master_seed=6),
+        DENSE_CONFIG,
+    ])
+    def test_no_full_solve_for_unions_with_a_universal_node(self, monkeypatch, cfg):
+        params = cfg.params
+        n = params.n
+        graphs = [sample_union(params, cfg.num_graphs, trial_seed(cfg.master_seed, t))
+                  for t in range(cfg.trials)]
+        degrees = [np.diag(laplacian(g)) for g in graphs]
+        universal = sum(bool((d == n - 1).any()) for d in degrees)
+        solved_in_full = sum(bool((d > 0).all() and (d < n - 1).all()) for d in degrees)
+        assert universal >= cfg.trials / 4
+        expected = np.array([lambda2(laplacian(g)) for g in graphs])
+
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a):
+            sizes.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        est = run_mc(cfg)
+        assert sizes.count(n) == solved_in_full
+        # every union with a node of degree n - 1 has one solve on fewer
+        # than n rows, except the complete graph, which has none
+        complete = sum(bool((d == n - 1).all()) for d in degrees)
+        assert len(sizes) - solved_in_full == universal - complete
+
+        mean = float(np.sum(expected)) / cfg.trials
+        var = float(np.sum((expected - mean) ** 2)) / (cfg.trials - 1)
+        assert est.mean_lambda2 == pytest.approx(mean, rel=1e-12)
+        assert est.var_lambda2 == pytest.approx(var, rel=1e-12)
         assert est.prob_connected == sum(map(is_connected_bfs, graphs)) / cfg.trials
 
 
