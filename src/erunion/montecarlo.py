@@ -12,13 +12,13 @@ for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
 one draw per pair, so trial t's union graph equals
 ``sample_union(params, num_graphs, rng.trial_seed(master_seed, t))``.
 
-A union with a node of degree 0 is disconnected and its Laplacian has a zero
-row, so its lambda_2 is exactly 0.0, and it is stored as such without an
-eigensolve; near the connectivity threshold about half the unions are of
-this kind. Solving such a union returns rounding noise of about 1e-15,
-below ``EPS_ZERO``, so the connectivity frequency is that of solving every
-union; the lambda_2 mean, variance and their half-widths may differ from
-that in their low digits, and only in runs that hold such a trial.
+One gather of node degrees from the edge masks picks each union's path. A
+union with a node of degree 0 is disconnected, so its lambda_2 is exactly
+0.0 with no eigensolve; near the connectivity threshold about half the
+unions are of this kind. A solve would return rounding noise of about
+1e-15, below ``EPS_ZERO``, so the connectivity frequency is that of solving
+every union; the lambda_2 mean, variance and their half-widths may differ
+in their low digits, and only in runs that hold such a trial.
 
 A union with a node of degree n - 1 is solved through its complement graph
 Gc, which is small for the near-complete unions of the paper's certified
@@ -27,12 +27,13 @@ orthogonal to the all-ones vector the spectrum of L(G) is n minus that of
 L(Gc), and lambda_2(G) = n - lambda_max(L(Gc)). L(Gc) is zero on every node
 of degree n - 1 in G, so lambda_max(L(Gc)) is the largest eigenvalue of
 L(Gc) restricted to S, the nodes Gc touches: a matrix of |S| <= n - 1 rows
-instead of n, and of none for the complete graph, whose lambda_2 is n.
-Such a union is connected with lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|,
-so the connectivity count is that of the full solve, and n - lambda_max
-does not cancel; the lambda_2 mean, variance and their half-widths may move
-in their low digits (about 1e-14 relative), and only in runs that hold
-such a trial.
+instead of n, and of none for the complete graph, whose lambda_2 is n. The
+one Laplacian builder makes it from the pairs among S that the union
+misses, so only unions solved in full get n x n Laplacians. Such a union
+has lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|, so the connectivity count
+is that of the full solve, and n - lambda_max does not cancel; the lambda_2
+mean, variance and their half-widths may move in their low digits (about
+1e-14 relative), and only in runs that hold such a trial.
 
 Trials run in chunks of consecutive indices whose size depends on n alone
 (and on the trial count when that is smaller), never on the worker count:
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import rng
 from .errors import CapabilityError, ValidationError
-from .graphs import ModelParams, incident_pairs, laplacians_from_masks
+from .graphs import ModelParams, incident_pairs, laplacians_from_masks, pair_arrays
 from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
 
 Z95 = 1.959963984540054
@@ -63,10 +64,10 @@ Z95 = 1.959963984540054
 # per-chunk eigensolver workspace (Laplacian entries); it also bounds the
 # chunk's draws, one per pair (< n^2/2), and caps the chunk at large n
 _EIG_BUDGET = 1 << 22
-# Laplacian entries a chunk aims at (512 KB of float64), so that its masks and
-# Laplacians stay in cache; below 16 trials the per-chunk Python overhead
-# dominates, so a chunk holds at least 16 trials while _EIG_BUDGET allows.
-# Chunking never affects results
+# n x n Laplacian entries a chunk may hold if every union is solved in full
+# (512 KB of float64), so that they stay in cache; below 16 trials the
+# per-chunk Python overhead dominates, so a chunk holds at least 16 trials
+# while _EIG_BUDGET allows. Chunking never affects results
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -93,6 +94,9 @@ class McConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        seed = self.master_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= rng.MASK:
+            raise ValidationError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,11 @@ class McEstimate:
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (well-behaved near 0/1)."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    if (not isinstance(successes, int) or isinstance(successes, bool)
+            or not 0 <= successes <= trials):
+        raise ValidationError(f"successes must be an integer in [0, {trials}], got {successes!r}")
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -126,41 +133,37 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 def lambda2s_from_masks(masks: np.ndarray, incident: np.ndarray) -> np.ndarray:
     """lambda_2 of each union in a batch of edge masks over the lexicographic pairs.
 
-    ``incident`` is ``graphs.incident_pairs(n)`` for the node count n. A
-    union with a node of degree 0 gets 0.0, a union with a node of degree
-    n - 1 gets n - lambda_max of its complement's Laplacian on the nodes
-    the complement touches, and any other union is solved in full. Each
-    value depends on its own union alone, never on the rest of the batch.
+    ``incident`` is ``graphs.incident_pairs(n)``; one gather through it
+    gives the degrees that pick each union's path. A union with a node of
+    degree 0 gets 0.0, a union with a node of degree n - 1 gets
+    n - lambda_max of its complement's Laplacian on S, and any other union
+    is solved in full. Each value depends on its own union alone.
     """
     n = len(incident)
-    lambda2s = np.zeros(len(masks))
-    live = masks[:, incident].any(axis=2).all(axis=1)
-    laps = laplacians_from_masks(masks[live], n)
-    degrees = laps.diagonal(axis1=1, axis2=2)
+    degrees = masks[:, incident].sum(axis=2)
     universal = (degrees == n - 1).any(axis=1)
-    if not universal.any():
-        lambda2s[live] = np.linalg.eigvalsh(laps)[:, 1]
-        return lambda2s
-    solved = np.empty(len(laps))
-    if not universal.all():
-        solved[~universal] = np.linalg.eigvalsh(laps[~universal])[:, 1]
+    full = (degrees > 0).all(axis=1) & ~universal
+    lambda2s = np.zeros(len(masks))
+    lambda2s[full] = np.linalg.eigvalsh(laplacians_from_masks(masks[full], n))[:, 1]
     rows = np.flatnonzero(universal)
     # S, the nodes the complement touches, in ascending order, then the rest
     touched = degrees[rows] < n - 1
     sizes = touched.sum(axis=1)
-    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :sizes.max()]
-    # (nI - J - L)[S, S]: small integers, exact in float64
-    sub = -1.0 - laps[rows[:, None, None], nodes[:, :, None], nodes[:, None, :]]
-    diag = np.arange(nodes.shape[1])
-    sub[:, diag, diag] += n
+    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :sizes.max(initial=0)]
+    i, j = pair_arrays(nodes.shape[1])
+    u, v = nodes[:, i], nodes[:, j]
+    # pairs among the first max |S| nodes that the union misses; a node past S
+    # misses none, so each union's leading |S| x |S| block is L(Gc) on S
+    missing = 1 - masks[rows[:, None], incident[u, v - (v > u)]]
+    # + 0.0 turns the builder's -0.0 of an absent pair into the +0.0 of (nI - J - L)[S, S]
+    sub = laplacians_from_masks(missing, nodes.shape[1]) + 0.0
     # a complete union (|S| = 0) has lambda_2 = n; each |S| is its own batch so
-    # that no union's submatrix is padded by its batch-mates'
-    dense = np.full(len(rows), float(n))
-    for size in np.unique(sizes[sizes > 0]):
+    # that no union's submatrix is padded by its batch-mates' (a set, as the
+    # first np.unique call in a process imports numpy.ma: ~40 ms and ~1 MB)
+    lambda2s[rows] = n
+    for size in set(sizes.tolist()) - {0}:
         at = sizes == size
-        dense[at] = n - np.linalg.eigvalsh(sub[at, :size, :size])[:, -1]
-    solved[universal] = dense
-    lambda2s[live] = solved
+        lambda2s[rows[at]] = n - np.linalg.eigvalsh(sub[at, :size, :size])[:, -1]
     return lambda2s
 
 

@@ -174,6 +174,14 @@ class TestMc:
         assert payload["estimate"]["ci_reliable"] is False
         assert payload["estimate"]["ci_halfwidths"]["mean_lambda2"] is None
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_is_a_domain_error(self, capsys, seed):
+        code, out, err = run_cli(capsys, "mc", "--n", "6", "--p", "0.3", "--N", "1",
+                                 "--trials", "5", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert "master_seed" in err
+
     def test_capability_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "mc", "--n", "2100", "--p", "0.5", "--N", "1",
                                "--trials", "10", "--seed", "0")

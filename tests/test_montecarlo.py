@@ -69,6 +69,30 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValidationError):
             McConfig(ModelParams(5, 0.5), master_seed=0, **counts)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 1 << 64])
+    def test_master_seed_must_be_a_64_bit_integer(self, seed):
+        # seeds are reduced mod 2**64, so 0 and 2**64 would share one stream
+        with pytest.raises(ValidationError):
+            McConfig(ModelParams(5, 0.5), num_graphs=1, trials=10, master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_master_seed_range_ends_run(self, seed):
+        est = run_mc(McConfig(ModelParams(5, 0.5), num_graphs=1, trials=10, master_seed=seed))
+        assert est.trials == 10
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 1), (-1, 10), (3, 2), (1.5, 3), (True, 3),
+                                               (0, 0), (1, True), (1, 2.0)])
+def test_wilson_interval_rejects_impossible_counts(successes, trials):
+    with pytest.raises(ValidationError):
+        wilson_interval(successes, trials)
+
+
+@pytest.mark.parametrize("successes, trials", [(0, 1), (1, 1), (0, 10), (4, 10), (10, 10)])
+def test_wilson_interval_accepts_every_count_from_0_to_trials(successes, trials):
+    lo, hi = wilson_interval(successes, trials)
+    assert 0.0 <= lo <= hi <= 1.0
+
 
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
@@ -410,6 +434,57 @@ class TestComplementShortcut:
         assert est.mean_lambda2 == pytest.approx(mean, rel=1e-12)
         assert est.var_lambda2 == pytest.approx(var, rel=1e-12)
         assert est.prob_connected == sum(map(is_connected_bfs, graphs)) / cfg.trials
+
+
+class TestDegreeFirstSolve:
+    @pytest.mark.parametrize("cfg", [
+        DENSE_CONFIG,
+        McConfig(ModelParams(30, 0.5), num_graphs=3, trials=300, master_seed=6),
+        THRESHOLD_CONFIG,
+    ])
+    def test_n_node_laplacians_only_for_unions_solved_in_full(self, monkeypatch, cfg):
+        n = cfg.params.n
+        p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
+        seeds = rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials)
+        masks = rng.edge_masks(seeds, cfg.params.num_pairs, p_hat)
+        adj = np.zeros((cfg.trials, n, n), dtype=np.int64)
+        i, j = pair_arrays(n)
+        adj[:, i, j] = adj[:, j, i] = masks
+        degrees = adj.sum(axis=2)
+        solved_in_full = int(((degrees >= 1) & (degrees <= n - 2)).all(axis=1).sum())
+        assert solved_in_full < cfg.trials
+
+        calls = []
+        builder = montecarlo.laplacians_from_masks
+
+        def recording(m, size):
+            calls.append((len(m), size))
+            return builder(m, size)
+
+        monkeypatch.setattr(montecarlo, "laplacians_from_masks", recording)
+        lambda2s_from_masks(masks, incident_pairs(n))
+        assert sum(rows for rows, size in calls if size == n) == solved_in_full
+
+    @pytest.mark.parametrize("shape", [(30, 0.5, 3), (10, 0.6, 1)])
+    def test_complement_solve_is_the_submatrix_formula_bit_for_bit(self, shape):
+        n, p, num_graphs = shape
+        params = ModelParams(n, p)
+        graphs = [sample_union(params, num_graphs, trial_seed(6, t)) for t in range(1000)]
+        masks = np.stack([1 - _complete_minus(n, g.edges) for g in graphs])
+        got = lambda2s_from_masks(masks, incident_pairs(n))
+
+        checked = 0
+        for g, value in zip(graphs, got):
+            lap = laplacian(g)
+            degrees = np.diag(lap)
+            if not (degrees == n - 1).any():
+                continue
+            s = np.flatnonzero(degrees < n - 1)
+            sub = (n * np.eye(n) - np.ones((n, n)) - lap)[s][:, s]
+            want = n - np.linalg.eigvalsh(sub)[-1] if s.size else float(n)
+            assert value == want
+            checked += 1
+        assert checked >= 50
 
 
 class TestAgreementWithGraphApi:
