@@ -3,10 +3,10 @@
 Nodes are labelled 0..n-1. Admissible node pairs are enumerated in
 lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...; this order fixes
 both the sampling draw order and the bitmask encoding used by the
-enumeration oracle. Sampling draws one uniform per pair (no sparse
-shortcuts), and a union of N samples is drawn as one G(n, p_hat) sample, so
-a sample is a pure function of (params, N, seed); see :mod:`erunion.rng`
-for the stream definition.
+enumeration oracle. Sampling draws only the pairs in the rarer state
+(present or missing), and a union of N samples is drawn as one G(n, p_hat)
+sample, so a sample is a pure function of (params, N, seed); see
+:mod:`erunion.rng` for the stream definition.
 """
 from __future__ import annotations
 
@@ -108,14 +108,10 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def incident_pairs(n: int) -> np.ndarray:
-    """Lexicographic indices of the n-1 pairs holding each node, shape (n, n-1)."""
-    i, j = pair_arrays(n)
-    e = np.arange(i.size)
-    index = np.empty((n, n), dtype=np.intp)
-    index[i, j] = e
-    index[j, i] = e
-    return index[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lexicographic index of the pair of nodes a != b, in either order."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lo * (2 * n - 1 - lo) // 2 + hi - lo - 1
 
 
 def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -137,7 +133,7 @@ def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_graph(params: ModelParams, seed: int) -> GraphSample:
-    """One G(n, p) sample: pair e is present iff draw e of the stream falls below p."""
+    """One G(n, p) sample from the stream with this seed (:func:`erunion.rng.edge_masks`)."""
     seeds = np.array([seed & rng.MASK], dtype=np.uint64)
     mask = rng.edge_masks(seeds, params.num_pairs, params.p)[0]
     pairs = all_pairs(params.n)

@@ -9,13 +9,16 @@ event the analytic bound in :mod:`erunion.bounds` lower-bounds.
 Trial t draws its own counter-based stream (see :mod:`erunion.rng`) so the
 sample set is a pure function of the configuration: results are bit-identical
 for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
-one draw per pair, so trial t's union graph equals
+and only its pairs in the rarer state are drawn (:func:`erunion.rng.rare_pairs`),
+so trial t's union graph equals
 ``sample_union(params, num_graphs, rng.trial_seed(master_seed, t))``.
 
-One gather of node degrees from the edge masks picks each union's path. A
-union with a node of degree 0 is disconnected, so its lambda_2 is exactly
-0.0 with no eigensolve; near the connectivity threshold about half the
-unions are of this kind. A solve would return rounding noise of about
+Node degrees come from the sampled pairs: two ``bincount`` calls over their
+end nodes count the present pairs at each node, or the missing ones, whose
+count subtracted from n - 1 is the degree. The degrees pick each union's
+path. A union with a node of degree 0 is disconnected, so its lambda_2 is
+exactly 0.0 with no eigensolve; near the connectivity threshold about half
+the unions are of this kind. A solve would return rounding noise of about
 1e-15, below ``EPS_ZERO``, so the connectivity frequency is that of solving
 every union; the lambda_2 mean, variance and their half-widths may differ
 in their low digits, and only in runs that hold such a trial.
@@ -56,13 +59,13 @@ import numpy as np
 
 from . import rng
 from .errors import CapabilityError, ValidationError
-from .graphs import ModelParams, incident_pairs, laplacians_from_masks, pair_arrays
+from .graphs import ModelParams, laplacians_from_masks, pair_arrays, pair_index
 from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
 
 Z95 = 1.959963984540054
 
 # per-chunk eigensolver workspace (Laplacian entries); it also bounds the
-# chunk's draws, one per pair (< n^2/2), and caps the chunk at large n
+# chunk's edge masks, one byte per pair (< n^2/2), and caps the chunk at large n
 _EIG_BUDGET = 1 << 22
 # n x n Laplacian entries a chunk may hold if every union is solved in full
 # (512 KB of float64), so that they stay in cache; below 16 trials the
@@ -116,7 +119,11 @@ class McEstimate:
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (well-behaved near 0/1)."""
+    """Wilson score interval for a binomial proportion (well-behaved near 0/1).
+
+    Its ends are exactly 0.0 when ``successes`` is 0 and exactly 1.0 when it
+    is ``trials``, so the interval always holds ``successes / trials``.
+    """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if (not isinstance(successes, int) or isinstance(successes, bool)
@@ -127,20 +134,22 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
-    return max(0.0, centre - half), min(1.0, centre + half)
+    # centre -/+ half is 0 or 1 in exact arithmetic there; rounding moves it inward
+    lo = 0.0 if successes == 0 else max(0.0, centre - half)
+    hi = 1.0 if successes == trials else min(1.0, centre + half)
+    return lo, hi
 
 
-def lambda2s_from_masks(masks: np.ndarray, incident: np.ndarray) -> np.ndarray:
+def lambda2s_from_masks(masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """lambda_2 of each union in a batch of edge masks over the lexicographic pairs.
 
-    ``incident`` is ``graphs.incident_pairs(n)``; one gather through it
-    gives the degrees that pick each union's path. A union with a node of
-    degree 0 gets 0.0, a union with a node of degree n - 1 gets
-    n - lambda_max of its complement's Laplacian on S, and any other union
-    is solved in full. Each value depends on its own union alone.
+    ``degrees`` holds each union's node degrees, one row per mask; they pick
+    each union's path. A union with a node of degree 0 gets 0.0, a union
+    with a node of degree n - 1 gets n - lambda_max of its complement's
+    Laplacian on S, and any other union is solved in full. Each value
+    depends on its own union alone.
     """
-    n = len(incident)
-    degrees = masks[:, incident].sum(axis=2)
+    n = degrees.shape[1]
     universal = (degrees == n - 1).any(axis=1)
     full = (degrees > 0).all(axis=1) & ~universal
     lambda2s = np.zeros(len(masks))
@@ -154,7 +163,7 @@ def lambda2s_from_masks(masks: np.ndarray, incident: np.ndarray) -> np.ndarray:
     u, v = nodes[:, i], nodes[:, j]
     # pairs among the first max |S| nodes that the union misses; a node past S
     # misses none, so each union's leading |S| x |S| block is L(Gc) on S
-    missing = 1 - masks[rows[:, None], incident[u, v - (v > u)]]
+    missing = 1 - masks[rows[:, None], pair_index(n, u, v)]
     # + 0.0 turns the builder's -0.0 of an absent pair into the +0.0 of (nI - J - L)[S, S]
     sub = laplacians_from_masks(missing, nodes.shape[1]) + 0.0
     # a complete union (|S| = 0) has lambda_2 = n; each |S| is its own batch so
@@ -170,8 +179,9 @@ def lambda2s_from_masks(masks: np.ndarray, incident: np.ndarray) -> np.ndarray:
 def run_mc(config: McConfig) -> McEstimate:
     """Sample every trial, solve its lambda_2; aggregate deterministically.
 
-    Per trial: draw the union's edge mask at p_hat from the trial's stream
-    and take its lambda_2 (:func:`lambda2s_from_masks`). Aggregation
+    Per trial: draw the union's rare pairs at p_hat from the trial's stream,
+    scatter them into its edge mask, count its degrees from them and take its
+    lambda_2 (:func:`lambda2s_from_masks`). Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
     """
@@ -188,13 +198,20 @@ def run_mc(config: McConfig) -> McEstimate:
     chunk = max(1, min(trials, _EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
     starts = range(0, trials, chunk)
     pool_size = min(config.workers, len(starts), _usable_cpus())
-    incident = incident_pairs(n)
+    i, j = pair_arrays(n)
+    missing = rng.missing_is_rare(p_hat)
 
     def run_chunk(start: int) -> None:
         stop = min(start + chunk, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
-        masks = rng.edge_masks(seeds, num_pairs, p_hat)
-        lambda2s[start:stop] = lambda2s_from_masks(masks, incident)
+        trial, pair = rng.rare_pairs(seeds, num_pairs, p_hat)
+        masks = rng.pair_masks(trial, pair, len(seeds), num_pairs, p_hat)
+        # a sampled pair counts once at each of its two nodes
+        row = trial * n
+        size = len(seeds) * n
+        counts = (np.bincount(row + i[pair], minlength=size)
+                  + np.bincount(row + j[pair], minlength=size)).reshape(-1, n)
+        lambda2s[start:stop] = lambda2s_from_masks(masks, n - 1 - counts if missing else counts)
 
     if pool_size == 1:
         for s in starts:

@@ -23,6 +23,29 @@ def complete_graph(n):
     return GraphSample.from_edges(n, list(all_pairs(n)))
 
 
+def v3_rare_pairs(seed, num_pairs, p):
+    """Stream v3 written one draw at a time: the pairs in the rarer state."""
+    rare = min(p, 1.0 - p)
+    log_q = math.log1p(-rare)
+    pairs, position, j = [], -1, 0
+    while True:
+        draw = rng.mix64((seed + (j + 1) * rng.PHI) & rng.MASK)
+        u = ((draw >> 11) + 1) * 2.0**-53
+        ratio = math.log(u) / log_q
+        position += (num_pairs if ratio >= num_pairs else math.floor(ratio)) + 1
+        if position >= num_pairs:
+            return pairs
+        pairs.append(position)
+        j += 1
+
+
+def v3_edges(n, p, seed):
+    """Edges of the stream v3 G(n, p) sample with this seed."""
+    pairs = all_pairs(n)
+    rare = set(v3_rare_pairs(seed, len(pairs), p))
+    return [pairs[e] for e in range(len(pairs)) if (e in rare) != (p > 0.5)]
+
+
 class TestModelParams:
     def test_valid(self):
         mp = ModelParams(10, 0.5)
@@ -58,18 +81,21 @@ class TestSampling:
         params = ModelParams(9, 0.35)
         assert sample_union(params, 1, 4242) == sample_graph(params, 4242)
 
-    def test_union_sampler_matches_explicit_union_of_constituents(self):
-        # stream definition v2: pair e of a union stream is present iff its
-        # single draw mix64(seed + (e+1)*PHI) falls below threshold_u64(p_hat)
+    def test_union_sampler_matches_scalar_v3_reference(self):
+        # p_hat = 0.3, 0.76 and 0.88: the present-pair and missing-pair states
         params = ModelParams(7, 0.3)
-        seed = 777
-        pairs = all_pairs(params.n)
-        for num in (1, 4):
-            p_hat = -math.expm1(num * math.log1p(-params.p)) if num > 1 else params.p
-            thr = rng.threshold_u64(p_hat)
-            edges = [pairs[e] for e in range(params.num_pairs)
-                     if rng.mix64((seed + (e + 1) * rng.PHI) & rng.MASK) < thr]
-            assert GraphSample.from_edges(params.n, edges) == sample_union(params, num, seed)
+        for num in (1, 4, 6):
+            p_hat, _ = params.effective_probabilities(num)
+            for seed in (777, 0, rng.MASK):
+                expected = GraphSample.from_edges(params.n, v3_edges(params.n, p_hat, seed))
+                assert sample_union(params, num, seed) == expected
+
+    @pytest.mark.parametrize("p", [1e-300, 5e-324])
+    def test_scalar_v3_reference_at_vanishing_p(self, p):
+        params = ModelParams(7, p)
+        for seed in (777, 1):
+            assert v3_edges(params.n, p, seed) == []
+            assert sample_graph(params, seed).num_edges == 0
 
     def test_per_edge_frequency_within_binomial_band(self):
         # invariant: frequency inside the exact 5-sigma band around p

@@ -2,7 +2,9 @@
 import dataclasses
 import math
 import threading
+from statistics import NormalDist
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      laplacian, line_graph_lambda_min, run_mc, sample_union,
                      union_effective_params, wilson_interval)
 from erunion import montecarlo, rng
-from erunion.graphs import incident_pairs, pair_arrays
+from erunion.graphs import pair_arrays
 from erunion.montecarlo import lambda2s_from_masks
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
@@ -53,6 +55,7 @@ class TestDegenerateAndErrors:
         def no_sampling(*args):
             raise AssertionError("sampled before validating p_hat")
         monkeypatch.setattr(rng, "edge_masks", no_sampling)
+        monkeypatch.setattr(rng, "rare_pairs", no_sampling)
         with pytest.raises(ValidationError):
             run_mc(McConfig(ModelParams(10, 0.5), num_graphs=100, trials=10, master_seed=0))
 
@@ -94,6 +97,16 @@ def test_wilson_interval_accepts_every_count_from_0_to_trials(successes, trials)
     assert 0.0 <= lo <= hi <= 1.0
 
 
+def test_wilson_interval_holds_the_observed_frequency():
+    # the ends are exact at 0 and at trials successes
+    for trials in range(1, 301):
+        for successes in range(trials + 1):
+            lo, hi = wilson_interval(successes, trials)
+            assert lo <= successes / trials <= hi
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+
+
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
         cfg = McConfig(ModelParams(12, 0.3), num_graphs=3, trials=400, master_seed=99)
@@ -112,6 +125,19 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 blocks of <= 7
         for workers in (1, 2, 4):
             assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
+
+    def test_top_up_rounds_change_nothing(self, monkeypatch):
+        # three draws per round leave almost every stream unfinished, so the
+        # sampler runs many top-up rounds; masks and estimates stay the same
+        seeds = rng.trial_seeds_np(5, 0, 40)
+        ps = (1e-300, 0.05, 0.5, 0.9, 1 - 1e-12)
+        masks = [rng.edge_masks(seeds, 190, p) for p in ps]
+        configs = (THRESHOLD_CONFIG, DENSE_CONFIG)
+        estimates = [run_mc(cfg) for cfg in configs]
+        monkeypatch.setattr(rng, "_overdraw", lambda mean, num_pairs: 3)
+        for p, mask in zip(ps, masks):
+            assert np.array_equal(rng.edge_masks(seeds, 190, p), mask)
+        assert [run_mc(cfg) for cfg in configs] == estimates
 
     def test_many_chunks_match_one_chunk(self, monkeypatch):
         cfg = McConfig(ModelParams(10, 0.6), num_graphs=1, trials=5000, master_seed=1)
@@ -324,6 +350,14 @@ def _complete_minus(n, removed):
     return adj[pair_arrays(n)]
 
 
+def _degrees(masks, n):
+    """Node degrees of each union in a batch of edge masks over the lexicographic pairs."""
+    adj = np.zeros((len(masks), n, n), dtype=np.int64)
+    i, j = pair_arrays(n)
+    adj[:, i, j] = adj[:, j, i] = masks
+    return adj.sum(axis=2)
+
+
 def _solve_atol(mask, n):
     """Tolerance on the lambda_2 of a union: 16 eps ||M|| for the matrix M it is
     solved on, where ||M|| <= 2 rows. M is the complement's Laplacian on the
@@ -357,7 +391,8 @@ def _closed_forms(family, n):
 
 
 def _assert_closed_forms(masks, expected, n):
-    got = lambda2s_from_masks(np.stack(masks), incident_pairs(n))
+    stacked = np.stack(masks)
+    got = lambda2s_from_masks(stacked, _degrees(stacked, n))
     for mask, want, value in zip(masks, expected, got):
         assert value == pytest.approx(want, abs=_solve_atol(mask, n))
     return got
@@ -366,7 +401,8 @@ def _assert_closed_forms(masks, expected, n):
 class TestComplementReduction:
     @pytest.mark.parametrize("n", [2] + CLOSED_FORM_NS)
     def test_complete_graph_gives_n(self, n):
-        got = lambda2s_from_masks(_complete_minus(n, [])[None, :], incident_pairs(n))
+        mask = _complete_minus(n, [])[None, :]
+        got = lambda2s_from_masks(mask, _degrees(mask, n))
         assert got.tolist() == [float(n)]
 
     @pytest.mark.parametrize("family", ["one edge", "star", "path", "perfect matching"])
@@ -392,7 +428,7 @@ class TestComplementReduction:
         masks, expected = zip(*cases)
         got = _assert_closed_forms(masks, expected, n)
         assert got[-1] == 0.0
-        alone = np.concatenate([lambda2s_from_masks(m[None, :], incident_pairs(n))
+        alone = np.concatenate([lambda2s_from_masks(m[None, :], _degrees(m[None, :], n))
                                 for m in masks])
         assert np.array_equal(got, alone)
 
@@ -447,10 +483,7 @@ class TestDegreeFirstSolve:
         p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
         seeds = rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials)
         masks = rng.edge_masks(seeds, cfg.params.num_pairs, p_hat)
-        adj = np.zeros((cfg.trials, n, n), dtype=np.int64)
-        i, j = pair_arrays(n)
-        adj[:, i, j] = adj[:, j, i] = masks
-        degrees = adj.sum(axis=2)
+        degrees = _degrees(masks, n)
         solved_in_full = int(((degrees >= 1) & (degrees <= n - 2)).all(axis=1).sum())
         assert solved_in_full < cfg.trials
 
@@ -462,7 +495,7 @@ class TestDegreeFirstSolve:
             return builder(m, size)
 
         monkeypatch.setattr(montecarlo, "laplacians_from_masks", recording)
-        lambda2s_from_masks(masks, incident_pairs(n))
+        lambda2s_from_masks(masks, degrees)
         assert sum(rows for rows, size in calls if size == n) == solved_in_full
 
     @pytest.mark.parametrize("shape", [(30, 0.5, 3), (10, 0.6, 1)])
@@ -471,7 +504,7 @@ class TestDegreeFirstSolve:
         params = ModelParams(n, p)
         graphs = [sample_union(params, num_graphs, trial_seed(6, t)) for t in range(1000)]
         masks = np.stack([1 - _complete_minus(n, g.edges) for g in graphs])
-        got = lambda2s_from_masks(masks, incident_pairs(n))
+        got = lambda2s_from_masks(masks, _degrees(masks, n))
 
         checked = 0
         for g, value in zip(graphs, got):
@@ -519,8 +552,8 @@ class TestAgainstExactValues:
         assert lo <= exact <= hi
 
     def test_paper_scale_union_in_bounded_memory(self):
-        # Table-1 cell n=100, p=1e-5, N_min=110539: one draw per pair keeps a
-        # trial at 4950 draws however many graphs the union holds
+        # Table-1 cell n=100, p=1e-5, N_min=110539: one G(n, p_hat) sample
+        # keeps a trial within 4950 pairs however many graphs the union holds
         params = ModelParams(100, 1e-5)
         est = run_mc(McConfig(params, 110539, trials=64, master_seed=110539))
         lo, hi = expected_lambda2_bounds(union_effective_params(params, 110539))
@@ -530,6 +563,42 @@ class TestAgainstExactValues:
         # 50-fold union at (n=50, p=0.1): certified lower bound is 0.810
         est = run_mc(McConfig(ModelParams(50, 0.1), 50, trials=100_000, master_seed=1))
         assert est.prob_ge_lambda_min >= 0.810
+
+
+def _gilbert_prob_connected(n, p_hat):
+    """Exact P[G(n, p_hat) is connected] by Gilbert's (1959) recurrence
+    P_m = 1 - sum_{k<m} C(m-1, k-1) q^(k(m-k)) P_k, P_1 = 1, in 60 digits."""
+    with mp.workdps(60):
+        q = 1 - mp.mpf(p_hat)
+        conn = [None, mp.mpf(1)]
+        for m in range(2, n + 1):
+            conn.append(1 - mp.fsum(mp.binomial(m - 1, k - 1) * q ** (k * (m - k)) * conn[k]
+                                    for k in range(1, m)))
+        return float(conn[n])
+
+
+# (n, p, N, trials): threshold unions (p_hat near log(n)/n) at n = 10, 30 and
+# 60, a sparser one at n = 60 and two with p_hat > 1/2, sampled as missing pairs
+GILBERT_SHAPES = [(10, 0.1, 3, 20_000), (10, 0.6, 1, 20_000), (10, 0.3, 3, 20_000),
+                  (30, 0.06, 2, 6_000), (60, 0.035, 2, 3_000), (60, 0.05, 1, 3_000)]
+# two-sided Bonferroni z: family-wise level 1e-3 over the shapes
+GILBERT_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(GILBERT_SHAPES)))
+
+
+class TestAgainstGilbertRecurrence:
+    @pytest.mark.parametrize("n, p, num_graphs, trials", GILBERT_SHAPES)
+    def test_prob_connected_matches_exact_value(self, n, p, num_graphs, trials):
+        params = ModelParams(n, p)
+        p_hat, _ = params.effective_probabilities(num_graphs)
+        exact = _gilbert_prob_connected(n, p_hat)
+        est = run_mc(McConfig(params, num_graphs, trials, master_seed=1959))
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(est.prob_connected - exact) <= GILBERT_Z * se
+
+    def test_recurrence_matches_enumeration(self):
+        for n, p in ((4, 0.3), (6, 0.1), (6, 0.7)):
+            exact = enumerate_exact(ModelParams(n, p)).prob_connected
+            assert _gilbert_prob_connected(n, p) == pytest.approx(exact, abs=1e-14)
 
 
 class TestCoverage:

@@ -1,4 +1,7 @@
-"""Stream definition and known-answer vectors."""
+"""Stream definition, known-answer vectors and the v3 skip sampler's law."""
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -56,3 +59,53 @@ def test_threshold_exact_binary_fractions():
         rng.threshold_u64(0.0)
     with pytest.raises(ValueError):
         rng.threshold_u64(1.0)
+
+
+def _rare_pair_seeds(count):
+    return rng.trial_seeds_np(20261018, 0, count)
+
+
+@pytest.mark.parametrize("p", [0.03, 0.97])
+def test_per_pair_frequency_in_either_rare_state(p):
+    # n = 30: every pair's frequency inside 5 sigma of p, the first and the
+    # last pair included, where an off-by-one in the skips would show
+    num_pairs, trials, step = 435, 200_000, 50_000
+    counts = np.zeros(num_pairs, dtype=np.int64)
+    for start in range(0, trials, step):
+        seeds = rng.trial_seeds_np(20261018, start, step)
+        counts += rng.edge_masks(seeds, num_pairs, p).sum(axis=0, dtype=np.int64)
+    freq = counts / trials
+    sigma = math.sqrt(p * (1 - p) / trials)
+    assert abs(freq[0] - p) <= 5 * sigma
+    assert abs(freq[-1] - p) <= 5 * sigma
+    assert np.all(np.abs(freq - p) <= 5 * sigma)
+
+
+@pytest.mark.parametrize("p", [0.03, 0.97])
+def test_edge_count_per_trial_is_binomial(p):
+    # a trial's edge count, M minus its rare count when p > 1/2, is
+    # Binomial(M, p): chi-square tests of its mean (1 degree of freedom) and
+    # of its dispersion sum (c - mean)^2 / (M p (1 - p)) over T trials (T - 1
+    # degrees of freedom), each two-sided at 1e-4. The binomial's excess
+    # kurtosis makes the dispersion spread ~3 % wider than chi-square here,
+    # well inside that level
+    num_pairs, trials = 435, 20_000
+    counts = rng.edge_masks(_rare_pair_seeds(trials), num_pairs, p).sum(axis=1)
+    var = num_pairs * p * (1 - p)
+    mean_stat = trials * (counts.mean() - num_pairs * p) ** 2 / var
+    dispersion = float(np.sum((counts - counts.mean()) ** 2)) / var
+    assert float(mp.gammainc(0.5, mean_stat / 2, regularized=True)) >= 1e-4
+    upper = float(mp.gammainc((trials - 1) / 2, dispersion / 2, regularized=True))
+    assert 2 * min(upper, 1 - upper) >= 1e-4
+
+
+def test_rare_pairs_are_the_mask_of_edge_masks():
+    seeds = _rare_pair_seeds(50)
+    for p in (0.2, 0.5, 0.8):
+        trial, pair = rng.rare_pairs(seeds, 45, p)
+        # ascending (trial, pair) order
+        assert np.all((np.diff(trial) > 0) | ((np.diff(trial) == 0) & (np.diff(pair) > 0)))
+        masks = rng.edge_masks(seeds, 45, p)
+        rare = np.zeros_like(masks)
+        rare[trial, pair] = 1
+        assert np.array_equal(rare, masks if p <= 0.5 else 1 - masks)
