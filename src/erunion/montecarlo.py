@@ -38,10 +38,21 @@ is that of the full solve, and n - lambda_max does not cancel; the lambda_2
 mean, variance and their half-widths may move in their low digits (about
 1e-14 relative), and only in runs that hold such a trial.
 
-Trials run in chunks of consecutive indices whose size depends on n alone
-(and on the trial count when that is smaller), never on the worker count:
-small enough that a chunk's masks and Laplacians stay in cache (see
-``_CHUNK_ENTRIES``) and within an eigensolver budget (see ``_EIG_BUDGET``).
+Trials run in chunks of consecutive indices whose size depends on n, p_hat
+and the trial count alone, never on the worker count (:func:`_chunk_trials`).
+A chunk is bounded three ways: its edge masks, one byte per pair, fill at
+most ``_CHUNK_BYTES``; the n x n Laplacians it is expected to build fill
+about ``_CHUNK_ENTRIES`` entries; and it holds at least 16 trials, for the
+per-chunk overhead, but at most ``_EIG_BUDGET / n^2`` and the trial count.
+The expected count takes f = (1 - p_hat^(n-1))^n as the share of unions
+with no node of degree n - 1, the only ones that may be solved in full, so
+a chunk of the certified regime, where f is tiny, is bounded by its masks
+alone. By Harris's inequality the true share is at least f, so a chunk may
+hold more such unions than expected; the n x n Laplacians are therefore
+built and solved in slices of at most :func:`_slice_matrices` unions,
+which bounds the matrices held at once whatever the chunk size. Each
+eigensolve depends on its own matrix alone, so neither chunks nor slices
+move any result.
 The chunks run on a thread pool of min(workers, chunks, usable CPUs)
 threads, which take them in index order; numpy's OpenBLAS runs on one
 thread meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the
@@ -64,14 +75,15 @@ from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
 
 Z95 = 1.959963984540054
 
-# per-chunk eigensolver workspace (Laplacian entries); it also bounds the
-# chunk's edge masks, one byte per pair (< n^2/2), and caps the chunk at large n
+# eigensolver workspace (Laplacian entries) that caps a chunk and a slice at large n
 _EIG_BUDGET = 1 << 22
-# n x n Laplacian entries a chunk may hold if every union is solved in full
-# (512 KB of float64), so that they stay in cache; below 16 trials the
-# per-chunk Python overhead dominates, so a chunk holds at least 16 trials
-# while _EIG_BUDGET allows. Chunking never affects results
+# n x n Laplacian entries a slice holds (512 KB of float64), so that they stay
+# in cache, and that a chunk is expected to build; below 16 trials the
+# per-chunk Python overhead dominates, so a chunk or a slice holds at least
+# 16 while _EIG_BUDGET allows
 _CHUNK_ENTRIES = 1 << 16
+# bytes of a chunk's edge masks (256 KB), one byte per pair
+_CHUNK_BYTES = 1 << 18
 
 
 def _usable_cpus() -> int:
@@ -80,6 +92,21 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _slice_matrices(n: int) -> int:
+    """Unions solved in full whose n x n Laplacians are built and solved at once."""
+    return max(1, min(_EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
+
+
+def _chunk_trials(n: int, p_hat: float, trials: int) -> int:
+    """Trials per chunk at n nodes and edge probability p_hat (module doc)."""
+    chunk = _CHUNK_BYTES // (n * (n - 1) // 2)
+    # n x n entries a trial is expected to build; 0 when f underflows
+    built = n * n * (1.0 - p_hat ** (n - 1)) ** n
+    if built * chunk > _CHUNK_ENTRIES:
+        chunk = int(_CHUNK_ENTRIES / built)
+    return max(1, min(trials, _EIG_BUDGET // (n * n), max(16, chunk)))
 
 
 @dataclass(frozen=True)
@@ -146,14 +173,17 @@ def lambda2s_from_masks(masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     ``degrees`` holds each union's node degrees, one row per mask; they pick
     each union's path. A union with a node of degree 0 gets 0.0, a union
     with a node of degree n - 1 gets n - lambda_max of its complement's
-    Laplacian on S, and any other union is solved in full. Each value
-    depends on its own union alone.
+    Laplacian on S, and any other union is solved in full, in slices of
+    :func:`_slice_matrices` unions. Each value depends on its own union alone.
     """
     n = degrees.shape[1]
     universal = (degrees == n - 1).any(axis=1)
-    full = (degrees > 0).all(axis=1) & ~universal
+    full = np.flatnonzero((degrees > 0).all(axis=1) & ~universal)
     lambda2s = np.zeros(len(masks))
-    lambda2s[full] = np.linalg.eigvalsh(laplacians_from_masks(masks[full], n))[:, 1]
+    step = _slice_matrices(n)
+    for start in range(0, len(full), step):
+        at = full[start:start + step]
+        lambda2s[at] = np.linalg.eigvalsh(laplacians_from_masks(masks[at], n))[:, 1]
     rows = np.flatnonzero(universal)
     # S, the nodes the complement touches, in ascending order, then the rest
     touched = degrees[rows] < n - 1
@@ -195,7 +225,7 @@ def run_mc(config: McConfig) -> McEstimate:
     trials = config.trials
 
     lambda2s = np.empty(trials)
-    chunk = max(1, min(trials, _EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
+    chunk = _chunk_trials(n, p_hat, trials)
     starts = range(0, trials, chunk)
     pool_size = min(config.workers, len(starts), _usable_cpus())
     i, j = pair_arrays(n)

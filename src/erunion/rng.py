@@ -84,14 +84,6 @@ def stream_draws(seed: int, count: int) -> list[int]:
     return [mix64((seed + (j + 1) * PHI) & MASK) for j in range(count)]
 
 
-def threshold_u64(p: float) -> int:
-    """Bernoulli threshold: draw < threshold happens with probability ~p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    # scaling a double by 2**64 is exact; int() truncates exactly
-    return int(p * 2.0**64)
-
-
 def missing_is_rare(p: float) -> bool:
     """True iff :func:`rare_pairs` samples the missing pairs at p, not the present ones."""
     return p > 0.5

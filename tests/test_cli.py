@@ -6,7 +6,7 @@ import pytest
 
 from erunion import (ModelParams, bound_report, lambda2, laplacian,
                      read_edgelist)
-from erunion.cli import main
+from erunion.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -237,3 +237,24 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--n", "7", "--p", "0.5")
         assert code == 3
         assert "error" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_failed_parse_leaves_later_calls_unchanged(self, capsys):
+        # each call's output as the first call of a fresh process, then after
+        # a parse that fails on a non-integer --n
+        calls = [("tables", "2"),
+                 ("mc", "--n", "10", "--p", "0.6", "--N", "1", "--trials", "50", "--seed", "3")]
+        first = []
+        for argv in calls:
+            build_parser.cache_clear()
+            first.append(run_cli(capsys, *argv))
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--n", "x"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert [run_cli(capsys, *argv) for argv in calls] == first
+        assert all(code == 0 and out for code, out, _ in first)

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 from statistics import NormalDist
 
 import mpmath as mp
@@ -153,11 +154,13 @@ class TestDeterminism:
 
 def _assert_many_chunks_match_one_chunk(monkeypatch, cfg):
     """One chunk and chunks of <= 37 trials on 1 or 2 workers give equal results."""
-    n = cfg.params.n
+    n, pairs = cfg.params.n, cfg.params.num_pairs
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", cfg.trials * pairs)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", cfg.trials * n * n)
     counts = _count_blocks(monkeypatch)
     base = run_mc(cfg)
     assert counts == [(0, cfg.trials)]
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 37 * pairs)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 37 * n * n)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     for workers in (1, 2):
@@ -237,14 +240,15 @@ class TestChunks:
 
     @pytest.mark.parametrize("cpus", [1, 3, 1000])
     def test_pool_is_capped_at_usable_cpus_and_chunks(self, monkeypatch, pool_sizes, cpus):
-        # n=6: chunks of 2**16 // 36 = 1820 trials, so 55 chunks
+        # n=6, p_hat = 1/2: f = (31/32)**6 of the unions may be solved in
+        # full, so chunks of 2**16 / (36 f) = 2202 trials, and 46 chunks
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         counts = _count_blocks(monkeypatch)
         cfg = McConfig(ModelParams(6, 0.5), 1, trials=100_000, master_seed=7,
                        workers=100_000)
         run_mc(cfg)
         chunks = len(counts)
-        assert chunks == 55
+        assert chunks == 46
         size = min(cfg.workers, chunks, cpus)
         assert pool_sizes == ([] if size == 1 else [size])
 
@@ -258,6 +262,80 @@ class TestChunks:
         assert montecarlo._usable_cpus() == 8
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         assert montecarlo._usable_cpus() == 1
+
+    @pytest.mark.parametrize("shape, trials, chunk", [
+        ((50, 0.1, 50), 136, 136),  # certified regime: bounded by the masks alone
+        ((50, 0.1, 50), 10_000, 2**18 // 1225),
+        ((200, 0.007, 4), 104, 16),
+        ((50, 0.5, 1), 200, 26),
+        ((40, 0.05, 2), THRESHOLD_CONFIG.trials, 40),
+        ((30, 0.5, 4), 2000, 2**18 // 435),
+    ])
+    def test_chunk_rule(self, shape, trials, chunk):
+        n, p, num_graphs = shape
+        p_hat, _ = ModelParams(n, p).effective_probabilities(num_graphs)
+        assert montecarlo._chunk_trials(n, p_hat, trials) == chunk
+
+    @pytest.mark.parametrize("shape", [
+        (50, 0.5, 52),  # p_hat = 1 - 2**-52: f underflows to 0
+        (2, 0.5, 52),
+        (2, 4e-320, 1),
+        (50, 4e-320, 1),
+    ])
+    def test_chunk_rule_at_extreme_probabilities(self, shape):
+        n, p, num_graphs = shape
+        p_hat, _ = ModelParams(n, p).effective_probabilities(num_graphs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunk = montecarlo._chunk_trials(n, p_hat, 10**9)
+            est = run_mc(McConfig(ModelParams(n, p), num_graphs, trials=20, master_seed=1))
+        assert est.trials == 20
+        assert isinstance(chunk, int) and chunk >= 16
+        assert chunk <= montecarlo._CHUNK_BYTES // (n * (n - 1) // 2)
+
+
+class TestFullSolveSlices:
+    # p_hat = 0.875: about half the unions are solved in full
+    MIXED_CONFIG = McConfig(ModelParams(30, 0.5), num_graphs=3, trials=300, master_seed=6)
+
+    @staticmethod
+    def _record_full_solves(monkeypatch, n) -> list[int]:
+        """Number of n x n matrices in each eigvalsh call from now on."""
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a):
+            if a.shape[-1] == n:
+                stacks.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        return stacks
+
+    # DENSE_CONFIG solves no union in full: its slices must leave the complement solves alone
+    @pytest.mark.parametrize("cfg", [THRESHOLD_CONFIG, DENSE_CONFIG, MIXED_CONFIG])
+    def test_slices_of_three_match(self, monkeypatch, cfg):
+        base = run_mc(cfg)
+        stacks = self._record_full_solves(monkeypatch, cfg.params.n)
+        monkeypatch.setattr(montecarlo, "_slice_matrices", lambda n: 3)
+        assert run_mc(cfg) == base
+        assert all(rows <= 3 for rows in stacks)
+
+    def test_stack_never_exceeds_a_slice(self, monkeypatch):
+        # 200 unions at p = 1/2, every one solved in full, in one batch
+        n = 30
+        seeds = rng.trial_seeds_np(3, 0, 200)
+        masks = rng.edge_masks(seeds, n * (n - 1) // 2, 0.5)
+        degrees = _degrees(masks, n)
+        assert ((degrees > 0) & (degrees < n - 1)).all()
+        stacks = self._record_full_solves(monkeypatch, n)
+        got = lambda2s_from_masks(masks, degrees)
+        step = montecarlo._slice_matrices(n)
+        assert step == 2**16 // (n * n) < 200
+        assert stacks == [step, step, 200 - 2 * step]
+        monkeypatch.undo()
+        assert np.array_equal(got, np.linalg.eigvalsh(
+            montecarlo.laplacians_from_masks(masks, n))[:, 1])
 
 
 class TestOneBlasThreadInPool:
@@ -298,6 +376,8 @@ class TestOneBlasThreadInPool:
     @pytest.mark.parametrize("fail", [False, True])
     def test_pool_runs_complement_solves_on_one_thread(self, monkeypatch,
                                                        blas_get_at_two_threads, fail):
+        # DENSE_CONFIG is one chunk at the default mask budget; make it three
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 100 * DENSE_CONFIG.params.num_pairs)
         self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
                                              DENSE_CONFIG)
 

@@ -52,15 +52,6 @@ def test_trial_seeds_distinct():
     assert len(np.unique(seeds)) == 10_000
 
 
-def test_threshold_exact_binary_fractions():
-    assert rng.threshold_u64(0.5) == 1 << 63
-    assert rng.threshold_u64(0.25) == 1 << 62
-    with pytest.raises(ValueError):
-        rng.threshold_u64(0.0)
-    with pytest.raises(ValueError):
-        rng.threshold_u64(1.0)
-
-
 def _rare_pair_seeds(count):
     return rng.trial_seeds_np(20261018, 0, count)
 
