@@ -108,27 +108,32 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lexicographic index of the pair of nodes a != b, in either order."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return lo * (2 * n - 1 - lo) // 2 + hi - lo - 1
+def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, present: bool,
+                          rows: int, n: int) -> np.ndarray:
+    """Batched graph Laplacians L = D - A of ``rows`` graphs on n nodes, from
+    the pairs in one state.
 
-
-def laplacians_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Batched graph Laplacians from edge masks over the lexicographic pairs.
-
-    The only Laplacian builder of the package. All entries are small
-    integers, hence exact in float64; the result is independent of how the
-    batch was blocked.
+    Pair k joins nodes ``a[k] != b[k]`` of graph ``batch[k]``, each pair
+    listed at most once. The listed pairs are present when ``present`` is
+    true and missing otherwise; every other pair is in the other state. The
+    entry of a missing pair is -0.0 and the diagonal holds the degrees. The
+    only Laplacian builder of the package. All entries are small integers,
+    hence exact in float64, and each matrix depends on its own pairs alone.
     """
-    i, j = pair_arrays(n)
-    m = np.asarray(masks, dtype=np.float64)
-    lap = np.zeros((m.shape[0], n, n))
-    lap[:, i, j] = -m
-    lap[:, j, i] = -m
-    idx = np.arange(n)
-    # 0.0 - row sum keeps an isolated node's degree +0.0, not -0.0
-    lap[:, idx, idx] = 0.0 - lap.sum(axis=2)
+    lap = np.full((rows, n, n), -0.0 if present else -1.0)
+    flat = lap.reshape(-1)
+    counts = np.zeros(rows * n, dtype=np.int64)
+    for u, v in ((a, b), (b, a)):
+        # row of node u in the stack of rows * n matrix rows, then, in place,
+        # the flat index of its entry in column v: one index array at a time
+        # keeps the oracle's n = 6 build within the memory of its solves
+        index = batch * n + u
+        counts += np.bincount(index, minlength=rows * n)
+        index *= n
+        index += v
+        flat[index] = -1.0 if present else -0.0
+        del index
+    lap.reshape(rows, n * n)[:, ::n + 1] = (counts if present else n - 1 - counts).reshape(rows, n)
     return lap
 
 
@@ -167,10 +172,8 @@ def union_graphs(samples: Sequence[GraphSample]) -> GraphSample:
 
 def laplacian(g: GraphSample) -> np.ndarray:
     """Graph Laplacian L = D - A (dense, symmetric, zero row sums)."""
-    adj = np.zeros((g.n, g.n), dtype=np.uint8)
-    for i, j in g.edges:
-        adj[i, j] = 1
-    return laplacians_from_masks(adj[pair_arrays(g.n)][None, :], g.n)[0]
+    a, b = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    return laplacians_from_pairs(np.zeros_like(a), a, b, True, 1, g.n)[0]
 
 
 def is_connected_bfs(g: GraphSample) -> bool:

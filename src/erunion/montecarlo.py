@@ -31,22 +31,26 @@ L(Gc), and lambda_2(G) = n - lambda_max(L(Gc)). L(Gc) is zero on every node
 of degree n - 1 in G, so lambda_max(L(Gc)) is the largest eigenvalue of
 L(Gc) restricted to S, the nodes Gc touches: a matrix of |S| <= n - 1 rows
 instead of n, and of none for the complete graph, whose lambda_2 is n. The
-one Laplacian builder makes it from the pairs among S that the union
-misses, so only unions solved in full get n x n Laplacians. Such a union
-has lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|, so the connectivity count
-is that of the full solve, and n - lambda_max does not cancel; the lambda_2
-mean, variance and their half-widths may move in their low digits (about
-1e-14 relative), and only in runs that hold such a trial.
+one Laplacian builder (:func:`erunion.graphs.laplacians_from_pairs`) makes
+every matrix from the sampled pairs, with no edge mask: a union solved in
+full from its pairs, and L(Gc) on S from the pairs among S, each node
+numbered by its rank in S, so only unions solved in full get n x n
+Laplacians. A union solved through Gc has lambda_2 >= 1, as
+lambda_max(L(Gc)) <= |S|, so the connectivity count is that of the full
+solve, and n - lambda_max does not cancel; the lambda_2 mean, variance and
+their half-widths may move in their low digits (about 1e-14 relative), and
+only in runs that hold such a trial.
 
 Trials run in chunks of consecutive indices whose size depends on n, p_hat
 and the trial count alone, never on the worker count (:func:`_chunk_trials`).
-A chunk is bounded three ways: its edge masks, one byte per pair, fill at
-most ``_CHUNK_BYTES``; the n x n Laplacians it is expected to build fill
-about ``_CHUNK_ENTRIES`` entries; and it holds at least 16 trials, for the
-per-chunk overhead, but at most ``_EIG_BUDGET / n^2`` and the trial count.
+A chunk is bounded three ways: its unions hold at most ``_CHUNK_PAIRS``
+pairs, which caps the sampler's draw arrays; the n x n Laplacians it is
+expected to build fill about ``_CHUNK_ENTRIES`` entries; and it holds at
+least 16 trials, for the per-chunk overhead, but at most ``_EIG_BUDGET / n^2``
+and the trial count.
 The expected count takes f = (1 - p_hat^(n-1))^n as the share of unions
 with no node of degree n - 1, the only ones that may be solved in full, so
-a chunk of the certified regime, where f is tiny, is bounded by its masks
+a chunk of the certified regime, where f is tiny, is bounded by its pairs
 alone. By Harris's inequality the true share is at least f, so a chunk may
 hold more such unions than expected; the n x n Laplacians are therefore
 built and solved in slices of at most :func:`_slice_matrices` unions,
@@ -70,7 +74,7 @@ import numpy as np
 
 from . import rng
 from .errors import CapabilityError, ValidationError
-from .graphs import ModelParams, laplacians_from_masks, pair_arrays, pair_index
+from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
 from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
 
 Z95 = 1.959963984540054
@@ -82,8 +86,9 @@ _EIG_BUDGET = 1 << 22
 # per-chunk Python overhead dominates, so a chunk or a slice holds at least
 # 16 while _EIG_BUDGET allows
 _CHUNK_ENTRIES = 1 << 16
-# bytes of a chunk's edge masks (256 KB), one byte per pair
-_CHUNK_BYTES = 1 << 18
+# pairs over all of a chunk's unions; a round of the sampler's draws holds at
+# most num_pairs + 1 8-byte draws per trial, so this caps its arrays near 2 MB
+_CHUNK_PAIRS = 1 << 18
 
 
 def _usable_cpus() -> int:
@@ -101,7 +106,7 @@ def _slice_matrices(n: int) -> int:
 
 def _chunk_trials(n: int, p_hat: float, trials: int) -> int:
     """Trials per chunk at n nodes and edge probability p_hat (module doc)."""
-    chunk = _CHUNK_BYTES // (n * (n - 1) // 2)
+    chunk = _CHUNK_PAIRS // (n * (n - 1) // 2)
     # n x n entries a trial is expected to build; 0 when f underflows
     built = n * n * (1.0 - p_hat ** (n - 1)) ** n
     if built * chunk > _CHUNK_ENTRIES:
@@ -167,35 +172,51 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return lo, hi
 
 
-def lambda2s_from_masks(masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """lambda_2 of each union in a batch of edge masks over the lexicographic pairs.
+def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present: bool,
+                        degrees: np.ndarray) -> np.ndarray:
+    """lambda_2 of each union in a batch, from its pairs in one state.
 
-    ``degrees`` holds each union's node degrees, one row per mask; they pick
-    each union's path. A union with a node of degree 0 gets 0.0, a union
-    with a node of degree n - 1 gets n - lambda_max of its complement's
-    Laplacian on S, and any other union is solved in full, in slices of
-    :func:`_slice_matrices` unions. Each value depends on its own union alone.
+    Pair k joins nodes ``a[k] != b[k]`` of union ``trial[k]``. The listed
+    pairs are present when ``present`` is true and missing otherwise, and
+    every other pair is in the other state, as :func:`erunion.rng.rare_pairs`
+    samples them. ``degrees`` holds each union's node degrees, one row per
+    union; they pick each union's path. A union with a node of degree 0 gets
+    0.0, a union with a node of degree n - 1 gets n - lambda_max of its
+    complement's Laplacian on S, and any other union is solved in full, in
+    slices of :func:`_slice_matrices` unions. Each value depends on its own
+    union alone.
     """
-    n = degrees.shape[1]
+    unions, n = degrees.shape
     universal = (degrees == n - 1).any(axis=1)
     full = np.flatnonzero((degrees > 0).all(axis=1) & ~universal)
-    lambda2s = np.zeros(len(masks))
+    lambda2s = np.zeros(unions)
     step = _slice_matrices(n)
     for start in range(0, len(full), step):
         at = full[start:start + step]
-        lambda2s[at] = np.linalg.eigvalsh(laplacians_from_masks(masks[at], n))[:, 1]
+        slot = np.full(unions, -1)
+        slot[at] = np.arange(len(at))
+        batch = slot[trial]
+        k = batch >= 0
+        lap = laplacians_from_pairs(batch[k], a[k], b[k], present, len(at), n)
+        lambda2s[at] = np.linalg.eigvalsh(lap)[:, 1]
     rows = np.flatnonzero(universal)
-    # S, the nodes the complement touches, in ascending order, then the rest
-    touched = degrees[rows] < n - 1
-    sizes = touched.sum(axis=1)
-    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :sizes.max(initial=0)]
-    i, j = pair_arrays(nodes.shape[1])
-    u, v = nodes[:, i], nodes[:, j]
-    # pairs among the first max |S| nodes that the union misses; a node past S
-    # misses none, so each union's leading |S| x |S| block is L(Gc) on S
-    missing = 1 - masks[rows[:, None], pair_index(n, u, v)]
-    # + 0.0 turns the builder's -0.0 of an absent pair into the +0.0 of (nI - J - L)[S, S]
-    sub = laplacians_from_masks(missing, nodes.shape[1]) + 0.0
+    # S, the nodes the complement touches, numbered in ascending order
+    in_s = universal[:, None] & (degrees < n - 1)
+    rank = np.cumsum(in_s, axis=1) - 1
+    sizes = rank[rows, -1] + 1
+    size_max = sizes.max(initial=0)
+    # the listed pairs among S, by rank, are in the other state in the
+    # complement; a pair with a node of degree n - 1 is present in the union
+    k = in_s[trial, a] & in_s[trial, b]
+    t = trial[k]
+    batch, u, v = np.cumsum(universal)[t] - 1, rank[t, a[k]], rank[t, b[k]]
+    sub = laplacians_from_pairs(batch, u, v, not present, len(rows), size_max)
+    if present:
+        # the builder took each pair past a union's |S| as present in Gc; off
+        # its degrees, each union's leading |S| x |S| block is L(Gc) on S
+        sub.reshape(len(rows), size_max**2)[:, ::size_max + 1] -= (size_max - sizes)[:, None]
+    # the builder's -0.0 of a missing pair becomes the +0.0 of (nI - J - L)[S, S]
+    sub += 0.0
     # a complete union (|S| = 0) has lambda_2 = n; each |S| is its own batch so
     # that no union's submatrix is padded by its batch-mates' (a set, as the
     # first np.unique call in a process imports numpy.ma: ~40 ms and ~1 MB)
@@ -210,8 +231,8 @@ def run_mc(config: McConfig) -> McEstimate:
     """Sample every trial, solve its lambda_2; aggregate deterministically.
 
     Per trial: draw the union's rare pairs at p_hat from the trial's stream,
-    scatter them into its edge mask, count its degrees from them and take its
-    lambda_2 (:func:`lambda2s_from_masks`). Aggregation
+    count its degrees from them and take its lambda_2 from them
+    (:func:`lambda2s_from_pairs`). Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
     """
@@ -229,19 +250,20 @@ def run_mc(config: McConfig) -> McEstimate:
     starts = range(0, trials, chunk)
     pool_size = min(config.workers, len(starts), _usable_cpus())
     i, j = pair_arrays(n)
-    missing = rng.missing_is_rare(p_hat)
+    present = not rng.missing_is_rare(p_hat)
 
     def run_chunk(start: int) -> None:
         stop = min(start + chunk, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
         trial, pair = rng.rare_pairs(seeds, num_pairs, p_hat)
-        masks = rng.pair_masks(trial, pair, len(seeds), num_pairs, p_hat)
+        a, b = i[pair], j[pair]
         # a sampled pair counts once at each of its two nodes
         row = trial * n
         size = len(seeds) * n
-        counts = (np.bincount(row + i[pair], minlength=size)
-                  + np.bincount(row + j[pair], minlength=size)).reshape(-1, n)
-        lambda2s[start:stop] = lambda2s_from_masks(masks, n - 1 - counts if missing else counts)
+        counts = (np.bincount(row + a, minlength=size)
+                  + np.bincount(row + b, minlength=size)).reshape(-1, n)
+        degrees = counts if present else n - 1 - counts
+        lambda2s[start:stop] = lambda2s_from_pairs(trial, a, b, present, degrees)
 
     if pool_size == 1:
         for s in starts:

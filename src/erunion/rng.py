@@ -145,15 +145,10 @@ def rare_pairs(seeds: np.ndarray, num_pairs: int, p: float) -> tuple[np.ndarray,
     return trial[order], pair[order]
 
 
-def pair_masks(trial: np.ndarray, pair: np.ndarray, num_trials: int, num_pairs: int,
-               p: float) -> np.ndarray:
-    """uint8 edge masks of shape (num_trials, num_pairs) from :func:`rare_pairs` at p."""
-    missing = missing_is_rare(p)
-    masks = (np.ones if missing else np.zeros)((num_trials, num_pairs), dtype=np.uint8)
-    masks.reshape(-1)[trial * num_pairs + pair] = not missing
-    return masks
-
-
 def edge_masks(seeds: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
     """G(n, p) edge masks over ``num_pairs`` pairs, one uint8 row per stream seed."""
-    return pair_masks(*rare_pairs(seeds, num_pairs, p), len(seeds), num_pairs, p)
+    trial, pair = rare_pairs(seeds, num_pairs, p)
+    missing = missing_is_rare(p)
+    masks = (np.ones if missing else np.zeros)((len(seeds), num_pairs), dtype=np.uint8)
+    masks[trial, pair] = not missing
+    return masks

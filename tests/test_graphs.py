@@ -12,6 +12,7 @@ from erunion import (DimensionError, GraphSample, ModelParams, ValidationError,
                      all_pairs, is_connected_bfs, lambda2, laplacian,
                      read_edgelist, rng, sample_graph, sample_union,
                      union_graphs, write_edgelist)
+from erunion.graphs import laplacians_from_pairs
 from erunion.spectral import EPS_ZERO
 
 
@@ -191,6 +192,46 @@ class TestLaplacian:
         lap = laplacian(g)
         off = lap[~np.eye(10, dtype=bool)]
         assert set(np.unique(off)) <= {-1.0, 0.0}
+
+
+class TestLaplacianBuilder:
+    @staticmethod
+    def _adjacencies(n):
+        """The empty and complete graphs and six random ones, as 0/1 matrices."""
+        gen = np.random.default_rng(n)
+        upper = np.stack([np.zeros((n, n)), np.ones((n, n))]
+                         + [gen.random((n, n)) < p for p in (0.1, 0.3, 0.5, 0.5, 0.7, 0.9)])
+        upper = np.triu(upper, 1).astype(np.int64)
+        return upper + upper.transpose(0, 2, 1)
+
+    @staticmethod
+    def _reference(adj):
+        """-A with -0.0 for an absent pair and the degrees on the diagonal, entry by entry."""
+        rows, n, _ = adj.shape
+        lap = np.empty(adj.shape)
+        for r in range(rows):
+            for v in range(n):
+                for w in range(n):
+                    lap[r, v, w] = float(sum(adj[r, v])) if v == w else (
+                        -1.0 if adj[r, v, w] else -0.0)
+        return lap
+
+    @pytest.mark.parametrize("present", [True, False])
+    @pytest.mark.parametrize("n", [2, 6, 30])
+    def test_entries_and_zero_signs(self, n, present):
+        adj = self._adjacencies(n)
+        want = self._reference(adj)
+        # each pair in the given state once, in shuffled order and either orientation
+        listed = np.triu(adj == (1 if present else 0), 1)
+        batch, a, b = np.nonzero(listed)
+        gen = np.random.default_rng(7)
+        order = gen.permutation(len(batch))
+        flip = gen.random(len(batch)) < 0.5
+        batch, a, b = batch[order], a[order], b[order]
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        got = laplacians_from_pairs(batch, a, b, present, len(adj), n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestConnectivity:

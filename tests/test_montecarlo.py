@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -16,7 +17,7 @@ from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      union_effective_params, wilson_interval)
 from erunion import montecarlo, rng
 from erunion.graphs import pair_arrays
-from erunion.montecarlo import lambda2s_from_masks
+from erunion.montecarlo import lambda2s_from_pairs
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
 
@@ -155,12 +156,12 @@ class TestDeterminism:
 def _assert_many_chunks_match_one_chunk(monkeypatch, cfg):
     """One chunk and chunks of <= 37 trials on 1 or 2 workers give equal results."""
     n, pairs = cfg.params.n, cfg.params.num_pairs
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", cfg.trials * pairs)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", cfg.trials * pairs)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", cfg.trials * n * n)
     counts = _count_blocks(monkeypatch)
     base = run_mc(cfg)
     assert counts == [(0, cfg.trials)]
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 37 * pairs)
+    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 37 * pairs)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 37 * n * n)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     for workers in (1, 2):
@@ -264,7 +265,7 @@ class TestChunks:
         assert montecarlo._usable_cpus() == 1
 
     @pytest.mark.parametrize("shape, trials, chunk", [
-        ((50, 0.1, 50), 136, 136),  # certified regime: bounded by the masks alone
+        ((50, 0.1, 50), 136, 136),  # certified regime: bounded by the pairs alone
         ((50, 0.1, 50), 10_000, 2**18 // 1225),
         ((200, 0.007, 4), 104, 16),
         ((50, 0.5, 1), 200, 26),
@@ -291,7 +292,7 @@ class TestChunks:
             est = run_mc(McConfig(ModelParams(n, p), num_graphs, trials=20, master_seed=1))
         assert est.trials == 20
         assert isinstance(chunk, int) and chunk >= 16
-        assert chunk <= montecarlo._CHUNK_BYTES // (n * (n - 1) // 2)
+        assert chunk <= montecarlo._CHUNK_PAIRS // (n * (n - 1) // 2)
 
 
 class TestFullSolveSlices:
@@ -329,13 +330,12 @@ class TestFullSolveSlices:
         degrees = _degrees(masks, n)
         assert ((degrees > 0) & (degrees < n - 1)).all()
         stacks = self._record_full_solves(monkeypatch, n)
-        got = lambda2s_from_masks(masks, degrees)
+        got = _lambda2s(masks, degrees)
         step = montecarlo._slice_matrices(n)
         assert step == 2**16 // (n * n) < 200
         assert stacks == [step, step, 200 - 2 * step]
         monkeypatch.undo()
-        assert np.array_equal(got, np.linalg.eigvalsh(
-            montecarlo.laplacians_from_masks(masks, n))[:, 1])
+        assert np.array_equal(got, np.linalg.eigvalsh(_reference_laplacians(masks, n))[:, 1])
 
 
 class TestOneBlasThreadInPool:
@@ -376,8 +376,8 @@ class TestOneBlasThreadInPool:
     @pytest.mark.parametrize("fail", [False, True])
     def test_pool_runs_complement_solves_on_one_thread(self, monkeypatch,
                                                        blas_get_at_two_threads, fail):
-        # DENSE_CONFIG is one chunk at the default mask budget; make it three
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 100 * DENSE_CONFIG.params.num_pairs)
+        # DENSE_CONFIG is one chunk at the default pair budget; make it three
+        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 100 * DENSE_CONFIG.params.num_pairs)
         self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
                                              DENSE_CONFIG)
 
@@ -430,12 +430,33 @@ def _complete_minus(n, removed):
     return adj[pair_arrays(n)]
 
 
-def _degrees(masks, n):
-    """Node degrees of each union in a batch of edge masks over the lexicographic pairs."""
+def _adjacency(masks, n):
+    """Adjacency matrices of a batch of edge masks over the lexicographic pairs."""
     adj = np.zeros((len(masks), n, n), dtype=np.int64)
     i, j = pair_arrays(n)
     adj[:, i, j] = adj[:, j, i] = masks
-    return adj.sum(axis=2)
+    return adj
+
+
+def _degrees(masks, n):
+    """Node degrees of each union in a batch of edge masks over the lexicographic pairs."""
+    return _adjacency(masks, n).sum(axis=2)
+
+
+def _reference_laplacians(masks, n):
+    """-A with -0.0 for an absent pair and the degrees on the diagonal."""
+    adj = _adjacency(masks, n)
+    lap = np.where(adj == 1, -1.0, -0.0)
+    nodes = np.arange(n)
+    lap[:, nodes, nodes] = adj.sum(axis=2)
+    return lap
+
+
+def _lambda2s(masks, degrees, present=True):
+    """lambda2s_from_pairs of a batch of edge masks, from its pairs in the given state."""
+    trial, pair = np.nonzero(masks if present else 1 - masks)
+    i, j = pair_arrays(degrees.shape[1])
+    return lambda2s_from_pairs(trial, i[pair], j[pair], present, degrees)
 
 
 def _solve_atol(mask, n):
@@ -472,7 +493,9 @@ def _closed_forms(family, n):
 
 def _assert_closed_forms(masks, expected, n):
     stacked = np.stack(masks)
-    got = lambda2s_from_masks(stacked, _degrees(stacked, n))
+    degrees = _degrees(stacked, n)
+    got = _lambda2s(stacked, degrees)
+    assert np.array_equal(got, _lambda2s(stacked, degrees, present=False))
     for mask, want, value in zip(masks, expected, got):
         assert value == pytest.approx(want, abs=_solve_atol(mask, n))
     return got
@@ -482,7 +505,7 @@ class TestComplementReduction:
     @pytest.mark.parametrize("n", [2] + CLOSED_FORM_NS)
     def test_complete_graph_gives_n(self, n):
         mask = _complete_minus(n, [])[None, :]
-        got = lambda2s_from_masks(mask, _degrees(mask, n))
+        got = _lambda2s(mask, _degrees(mask, n))
         assert got.tolist() == [float(n)]
 
     @pytest.mark.parametrize("family", ["one edge", "star", "path", "perfect matching"])
@@ -508,7 +531,7 @@ class TestComplementReduction:
         masks, expected = zip(*cases)
         got = _assert_closed_forms(masks, expected, n)
         assert got[-1] == 0.0
-        alone = np.concatenate([lambda2s_from_masks(m[None, :], _degrees(m[None, :], n))
+        alone = np.concatenate([_lambda2s(m[None, :], _degrees(m[None, :], n))
                                 for m in masks])
         assert np.array_equal(got, alone)
 
@@ -568,36 +591,90 @@ class TestDegreeFirstSolve:
         assert solved_in_full < cfg.trials
 
         calls = []
-        builder = montecarlo.laplacians_from_masks
+        builder = montecarlo.laplacians_from_pairs
 
-        def recording(m, size):
-            calls.append((len(m), size))
-            return builder(m, size)
+        def recording(batch, a, b, present, rows, size):
+            calls.append((rows, size))
+            return builder(batch, a, b, present, rows, size)
 
-        monkeypatch.setattr(montecarlo, "laplacians_from_masks", recording)
-        lambda2s_from_masks(masks, degrees)
+        monkeypatch.setattr(montecarlo, "laplacians_from_pairs", recording)
+        _lambda2s(masks, degrees, present=not rng.missing_is_rare(p_hat))
         assert sum(rows for rows, size in calls if size == n) == solved_in_full
 
-    @pytest.mark.parametrize("shape", [(30, 0.5, 3), (10, 0.6, 1)])
+    @pytest.mark.parametrize("shape", [
+        (30, 0.5, 3, 1000),
+        (10, 0.6, 1, 1000),
+        # p_hat <= 1/2: the sampled pairs are the present ones, and a union
+        # with a node of degree n - 1 is rare (about 1.5 % and 1e-4 of them)
+        (6, 0.3, 1, 10_000),
+        (8, 0.2, 1, 1_000_000),
+    ])
     def test_complement_solve_is_the_submatrix_formula_bit_for_bit(self, shape):
-        n, p, num_graphs = shape
+        n, p, num_graphs, trials = shape
         params = ModelParams(n, p)
-        graphs = [sample_union(params, num_graphs, trial_seed(6, t)) for t in range(1000)]
-        masks = np.stack([1 - _complete_minus(n, g.edges) for g in graphs])
-        got = lambda2s_from_masks(masks, _degrees(masks, n))
+        p_hat, _ = params.effective_probabilities(num_graphs)
+        # trial t is sample_union(params, N, trial_seed(6, t)); keep the unions
+        # with a node of degree n - 1
+        kept = []
+        for start in range(0, trials, 20_000):
+            seeds = rng.trial_seeds_np(6, start, min(20_000, trials - start))
+            masks = rng.edge_masks(seeds, params.num_pairs, p_hat)
+            kept.append(masks[(_degrees(masks, n) == n - 1).any(axis=1)])
+        masks = np.concatenate(kept)
+        degrees = _degrees(masks, n)
+        got = [_lambda2s(masks, degrees, present) for present in (True, False)]
 
-        checked = 0
-        for g, value in zip(graphs, got):
-            lap = laplacian(g)
-            degrees = np.diag(lap)
-            if not (degrees == n - 1).any():
-                continue
-            s = np.flatnonzero(degrees < n - 1)
+        for mask, lap, *values in zip(masks, _reference_laplacians(masks, n), *got):
+            s = np.flatnonzero(np.diag(lap) < n - 1)
             sub = (n * np.eye(n) - np.ones((n, n)) - lap)[s][:, s]
             want = n - np.linalg.eigvalsh(sub)[-1] if s.size else float(n)
-            assert value == want
-            checked += 1
-        assert checked >= 50
+            assert values == [want, want]
+        assert len(masks) >= 50
+
+    def test_complement_solve_peak_memory(self):
+        # one chunk of (30, 0.5, 4): p_hat = 0.9375, and almost every union
+        # is solved on its complement, of up to 29 nodes
+        n = 30
+        p_hat, _ = ModelParams(n, 0.5).effective_probabilities(4)
+        chunk = montecarlo._chunk_trials(n, p_hat, 2000)
+        assert chunk == 602
+        masks = rng.edge_masks(rng.trial_seeds_np(1, 0, chunk), n * (n - 1) // 2, p_hat)
+        degrees = _degrees(masks, n)
+        universal = (degrees == n - 1).any(axis=1)
+        size_max = (degrees[universal] < n - 1).sum(axis=1).max()
+        # the padded stack of complement Laplacians, |S| x |S| float64 entries
+        # for the largest |S|
+        stack = int(universal.sum()) * size_max**2 * 8
+        trial, pair = np.nonzero(1 - masks)
+        i, j = pair_arrays(n)
+        a, b = i[pair], j[pair]
+        want = lambda2s_from_pairs(trial, a, b, False, degrees)
+        tracemalloc.start()
+        try:
+            got = lambda2s_from_pairs(trial, a, b, False, degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 2 * stack
+
+    @pytest.mark.parametrize("cfg", [
+        THRESHOLD_CONFIG,
+        # p_hat = 0.875: the missing pairs are sampled, and about half the
+        # unions are still solved in full
+        McConfig(ModelParams(30, 0.5), num_graphs=3, trials=300, master_seed=6),
+    ])
+    def test_full_solve_is_the_reference_laplacian_bit_for_bit(self, cfg):
+        n = cfg.params.n
+        p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
+        seeds = rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials)
+        masks = rng.edge_masks(seeds, cfg.params.num_pairs, p_hat)
+        degrees = _degrees(masks, n)
+        full = ((degrees >= 1) & (degrees <= n - 2)).all(axis=1)
+        assert full.sum() >= cfg.trials / 4
+        got = _lambda2s(masks, degrees, present=not rng.missing_is_rare(p_hat))
+        want = np.linalg.eigvalsh(_reference_laplacians(masks[full], n))[:, 1]
+        assert (got[full] == want).all()
 
 
 class TestAgreementWithGraphApi:

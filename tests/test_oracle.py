@@ -6,7 +6,7 @@ import pytest
 from erunion import (CapabilityError, ModelParams, all_pairs, enumerate_exact,
                      exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
-from erunion.graphs import laplacians_from_masks
+from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.oracle import _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
 
@@ -117,7 +117,10 @@ class TestUnionReports:
             for k in range(num):
                 seeds = rng.trial_seeds_np(77, k * trials + start, chunk)
                 masks |= rng.edge_masks(seeds, params.num_pairs, params.p)
-            lam2 = np.linalg.eigvalsh(laplacians_from_masks(masks, params.n))[:, 1]
+            trial, pair = np.nonzero(masks)
+            i, j = pair_arrays(params.n)
+            lap = laplacians_from_pairs(trial, i[pair], j[pair], True, chunk, params.n)
+            lam2 = np.linalg.eigvalsh(lap)[:, 1]
             connected += int(np.count_nonzero(lam2 > EPS_ZERO))
         lo, hi = wilson_interval(connected, trials)
         assert lo <= exact.prob_connected <= hi
