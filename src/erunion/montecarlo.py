@@ -54,14 +54,20 @@ a chunk of the certified regime, where f is tiny, is bounded by its pairs
 alone. By Harris's inequality the true share is at least f, so a chunk may
 hold more such unions than expected; the n x n Laplacians are therefore
 built and solved in slices of at most :func:`_slice_matrices` unions,
-which bounds the matrices held at once whatever the chunk size. Each
+which bounds the matrices held at once whatever the chunk size. Below
+``DSYEVR_MIN_N`` rows a slice holds about ``_CHUNK_ENTRIES`` entries and at
+least 16 matrices, for batched ``eigvalsh``; from there up
+:func:`erunion.spectral.eigenvalue_at` solves one matrix at a time, so a
+slice holds about ``_SLICE_ENTRIES`` entries (1 MB) with no floor. Each
 eigensolve depends on its own matrix alone, so neither chunks nor slices
-move any result.
+move any result. A slice's pairs are contiguous ranges of the chunk's,
+which the sampler returns sorted by union.
 The chunks run on a thread pool of min(workers, chunks, usable CPUs)
 threads, which take them in index order; numpy's OpenBLAS runs on one
 thread meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the
 workers' solves do not oversubscribe the cores. A pool of one thread is the
-plain loop, and keeps the BLAS threads.
+plain loop, and keeps the BLAS threads for ``eigvalsh``; ``dsyevr`` solves
+run on one BLAS thread in either case, as their bits depend on the count.
 """
 from __future__ import annotations
 
@@ -75,17 +81,22 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
-from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, one_blas_thread
+from .spectral import (DSYEVR_MIN_N, EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at,
+                       one_blas_thread)
 
 Z95 = 1.959963984540054
 
 # eigensolver workspace (Laplacian entries) that caps a chunk and a slice at large n
 _EIG_BUDGET = 1 << 22
-# n x n Laplacian entries a slice holds (512 KB of float64), so that they stay
-# in cache, and that a chunk is expected to build; below 16 trials the
-# per-chunk Python overhead dominates, so a chunk or a slice holds at least
-# 16 while _EIG_BUDGET allows
+# n x n Laplacian entries a slice holds below DSYEVR_MIN_N rows (512 KB of
+# float64), so that they stay in cache, and that a chunk is expected to
+# build; below 16 trials the per-chunk Python overhead dominates, so a chunk,
+# or a slice solved by batched eigvalsh, holds at least 16 while _EIG_BUDGET
+# allows
 _CHUNK_ENTRIES = 1 << 16
+# n x n Laplacian entries a slice holds (1 MB of float64) from DSYEVR_MIN_N
+# rows up, where each matrix is solved alone and a slice needs no floor
+_SLICE_ENTRIES = 1 << 17
 # pairs over all of a chunk's unions; a round of the sampler's draws holds at
 # most num_pairs + 1 8-byte draws per trial, so this caps its arrays near 2 MB
 _CHUNK_PAIRS = 1 << 18
@@ -101,6 +112,8 @@ def _usable_cpus() -> int:
 
 def _slice_matrices(n: int) -> int:
     """Unions solved in full whose n x n Laplacians are built and solved at once."""
+    if n >= DSYEVR_MIN_N:
+        return max(1, _SLICE_ENTRIES // (n * n))
     return max(1, min(_EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
 
 
@@ -179,26 +192,30 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     Pair k joins nodes ``a[k] != b[k]`` of union ``trial[k]``. The listed
     pairs are present when ``present`` is true and missing otherwise, and
     every other pair is in the other state, as :func:`erunion.rng.rare_pairs`
-    samples them. ``degrees`` holds each union's node degrees, one row per
-    union; they pick each union's path. A union with a node of degree 0 gets
-    0.0, a union with a node of degree n - 1 gets n - lambda_max of its
-    complement's Laplacian on S, and any other union is solved in full, in
-    slices of :func:`_slice_matrices` unions. Each value depends on its own
+    samples them, and the pairs are sorted by union. ``degrees`` holds each
+    union's node degrees, one row per union; they pick each union's path. A
+    union with a node of degree 0 gets 0.0, a union with a node of degree
+    n - 1 gets n - lambda_max of its complement's Laplacian on S, and any
+    other union is solved in full, in slices of :func:`_slice_matrices`
+    unions. Every eigenvalue comes from
+    :func:`erunion.spectral.eigenvalue_at`. Each value depends on its own
     union alone.
     """
     unions, n = degrees.shape
     universal = (degrees == n - 1).any(axis=1)
     full = np.flatnonzero((degrees > 0).all(axis=1) & ~universal)
     lambda2s = np.zeros(unions)
+    # the pairs are sorted by union: union u's are first[u]:first[u + 1]
+    first = np.searchsorted(trial, np.arange(unions + 1))
     step = _slice_matrices(n)
     for start in range(0, len(full), step):
         at = full[start:start + step]
-        slot = np.full(unions, -1)
-        slot[at] = np.arange(len(at))
-        batch = slot[trial]
-        k = batch >= 0
-        lap = laplacians_from_pairs(batch[k], a[k], b[k], present, len(at), n)
-        lambda2s[at] = np.linalg.eigvalsh(lap)[:, 1]
+        counts = first[at + 1] - first[at]
+        batch = np.repeat(np.arange(len(at)), counts)
+        # each pair's rank in the slice, moved to its union's range
+        index = np.arange(len(batch)) + (first[at] - np.cumsum(counts) + counts)[batch]
+        lap = laplacians_from_pairs(batch, a[index], b[index], present, len(at), n)
+        lambda2s[at] = eigenvalue_at(lap, 2)
     rows = np.flatnonzero(universal)
     # S, the nodes the complement touches, numbered in ascending order
     in_s = universal[:, None] & (degrees < n - 1)
@@ -223,7 +240,7 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     lambda2s[rows] = n
     for size in set(sizes.tolist()) - {0}:
         at = sizes == size
-        lambda2s[rows[at]] = n - np.linalg.eigvalsh(sub[at, :size, :size])[:, -1]
+        lambda2s[rows[at]] = n - eigenvalue_at(sub[at, :size, :size], size)
     return lambda2s
 
 

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import pytest
 
@@ -26,3 +27,27 @@ def blas_get_at_two_threads():
         yield get
     finally:
         set_(original)
+
+
+@pytest.fixture
+def record_dsyevr(monkeypatch):
+    """``start(get, fail=False)``: from then on each dsyevr call of the
+    solver seam appends (in main thread, ``get()``) to the list ``start``
+    returns, and raises when ``fail`` is set."""
+    dsyevr = spectral._dsyevr()
+    if dsyevr is None:
+        pytest.skip("numpy's OpenBLAS exports no scipy_dsyevr_64_")
+
+    def start(get, fail=False):
+        seen = []
+
+        def recording(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), get()))
+            if fail:
+                raise RuntimeError("solver failed")
+            return dsyevr(*args)
+
+        monkeypatch.setattr(spectral, "_dsyevr", lambda: recording)
+        return seen
+
+    return start

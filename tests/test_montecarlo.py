@@ -19,7 +19,7 @@ from erunion import montecarlo, rng
 from erunion.graphs import pair_arrays
 from erunion.montecarlo import lambda2s_from_pairs
 from erunion.rng import trial_seed
-from erunion.spectral import EPS_ZERO
+from erunion.spectral import DSYEVR_MIN_N, EPS_ZERO, eigenvalue_at
 
 # n=40, N=2: p_hat = 0.0975 sits at the connectivity threshold ln(40)/40,
 # where about half the unions have a node of degree 0
@@ -29,6 +29,15 @@ THRESHOLD_CONFIG = McConfig(ModelParams(40, 0.05), num_graphs=2, trials=300,
 # n=30, N=6: p_hat = 0.984, so almost every union has a node joined to all
 # others and is solved through its complement
 DENSE_CONFIG = McConfig(ModelParams(30, 0.5), num_graphs=6, trials=300, master_seed=6)
+
+# solved by dsyevr: the threshold shape of the benchmark (7 chunks of <= 16
+# trials), a denser n = 100 one (6 chunks of 16) and p_hat = 0.969 at
+# n = 100, where almost every union is solved on a complement of 89 to 99 nodes
+ABOVE_CUTOFF_CONFIGS = [
+    McConfig(ModelParams(200, 0.007), num_graphs=4, trials=104, master_seed=1),
+    McConfig(ModelParams(100, 0.03), num_graphs=4, trials=96, master_seed=2),
+    McConfig(ModelParams(100, 0.5), num_graphs=5, trials=156, master_seed=3),
+]
 
 
 class TestDegenerateAndErrors:
@@ -391,6 +400,78 @@ class TestOneBlasThreadInPool:
         seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
         run_mc(DENSE_CONFIG)
         assert seen and seen == [(True, 2)] * len(seen)
+
+
+class TestAboveTheCutoff:
+    @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS)
+    def test_worker_count_does_not_change_results(self, monkeypatch, blas_get_at_two_threads,
+                                                  cfg):
+        # the serial run starts at two BLAS threads, the pools' at one
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        base, *others = [run_mc(dataclasses.replace(cfg, workers=workers))
+                         for workers in (1, 2, 3)]
+        assert others == [base, base]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solves_run_on_one_blas_thread_and_restore(self, monkeypatch, record_dsyevr,
+                                                       blas_get_at_two_threads, workers, fail):
+        get = blas_get_at_two_threads
+        seen = record_dsyevr(get, fail)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = dataclasses.replace(ABOVE_CUTOFF_CONFIGS[1], workers=workers)
+        if fail:
+            with pytest.raises(RuntimeError):
+                run_mc(cfg)
+        else:
+            run_mc(cfg)
+        assert seen and seen == [(workers == 1, 1)] * len(seen)
+        assert get() == 2
+
+    def test_slice_rule(self):
+        # about 1 MB of n x n entries from the cutoff up, with no floor
+        n = 200
+        assert montecarlo._slice_matrices(n) == 2**17 // n**2 == 3
+        assert montecarlo._slice_matrices(DSYEVR_MIN_N) == 2**17 // DSYEVR_MIN_N**2
+        assert montecarlo._slice_matrices(400) == 1
+        assert montecarlo._slice_matrices(DSYEVR_MIN_N - 1) == 2**16 // (DSYEVR_MIN_N - 1)**2
+
+    @staticmethod
+    def _record_seam(monkeypatch, n) -> list[int]:
+        """Number of n x n matrices in each eigenvalue_at call from now on."""
+        stacks = []
+        seam = montecarlo.eigenvalue_at
+
+        def recording(stack, k):
+            if stack.shape[-1] == n:
+                stacks.append(len(stack))
+            return seam(stack, k)
+
+        monkeypatch.setattr(montecarlo, "eigenvalue_at", recording)
+        return stacks
+
+    @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS[:2])
+    def test_slices_of_one_match(self, monkeypatch, cfg):
+        n = cfg.params.n
+        stacks = self._record_seam(monkeypatch, n)
+        base = run_mc(cfg)
+        assert max(stacks) == montecarlo._slice_matrices(n) > 1
+        stacks.clear()
+        monkeypatch.setattr(montecarlo, "_slice_matrices", lambda n: 1)
+        assert run_mc(cfg) == base
+        assert stacks and set(stacks) == {1}
+
+    def test_full_solve_is_the_reference_laplacian_bit_for_bit(self):
+        cfg = ABOVE_CUTOFF_CONFIGS[1]
+        n = cfg.params.n
+        p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
+        masks = rng.edge_masks(rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials),
+                               cfg.params.num_pairs, p_hat)
+        degrees = _degrees(masks, n)
+        full = ((degrees >= 1) & (degrees <= n - 2)).all(axis=1)
+        assert full.sum() > montecarlo._slice_matrices(n)
+        got = _lambda2s(masks, degrees)
+        assert (got[full] == eigenvalue_at(_reference_laplacians(masks[full], n), 2)).all()
 
 
 class TestIsolatedNodeShortcut:
