@@ -126,7 +126,6 @@ def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, prese
     for u, v in ((a, b), (b, a)):
         # row of node u in the stack of rows * n matrix rows, then, in place,
         # the flat index of its entry in column v: one index array at a time
-        # keeps the oracle's n = 6 build within the memory of its solves
         index = batch * n + u
         counts += np.bincount(index, minlength=rows * n)
         index *= n

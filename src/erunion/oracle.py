@@ -1,15 +1,14 @@
 """Exact ground truth by weighted enumeration of all labelled graphs (n <= 6).
 
-Every edge subset of the n(n-1)/2 admissible pairs is enumerated as a bitmask
-over the lexicographic pair order (bit e = pair e), and its Laplacian is
-built from the pairs its set bits name (``np.nonzero``) by the one builder,
-:func:`erunion.graphs.laplacians_from_pairs`. A graph with m edges has
-probability weight p^m q^(M-m). That weight depends on m alone, so it is
-evaluated once for each m in 0..M and gathered by edge count. The traces
-tr L^k, k = 1..4, come from one batched product L^2 (see ``_structure``). All
-quantities are probability-weighted sums over the full 2^M-graph sample space
-and are entirely independent of the closed-form moment formulas they are used
-to check.
+Every edge subset of the M = n(n-1)/2 admissible pairs is enumerated as a
+bitmask over the lexicographic pair order (bit e = pair e), and its Laplacian
+is built from the pairs its set bits name by the one builder,
+:func:`erunion.graphs.laplacians_from_pairs`. A graph with m edges has weight
+p^m q^(M-m), which depends on m alone, so each n is enumerated once into a
+p-free table of per-graph quantities summed by edge count (``_structure``),
+and each (n, p) is that table times the M+1 weights. All quantities are exact
+sums over the full 2^M-graph sample space and are entirely independent of
+the closed-form moment formulas they are used to check.
 
 A graph counts as connected when lambda_2 > ``EPS_ZERO``; by Fiedler's
 theorem these are exactly the graphs with lambda_2 >= lambda_min, so
@@ -27,6 +26,7 @@ from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
 from .spectral import EPS_ZERO
 
 ORACLE_N_CAP = 6
+_SLICE_GRAPHS = 1 << 12  # graphs built and solved at once: 1.2 MB of Laplacians at n = 6
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,9 @@ class ExactReport:
     weight_total: float
 
 
-def _set_pairs(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(graph, node a, node b) of each pair set in a batch of bitmask rows."""
-    # np.nonzero(bits), taken on the flat index: the 2-d form is about 4x slower here
-    graph, pair = np.divmod(np.flatnonzero(bits), bits.shape[1])
-    i, j = pair_arrays(n)
-    return graph, i[pair], j[pair]
-
-
-@lru_cache(maxsize=8)
-def _structure(n: int):
-    """Per-bitmask edge counts, Laplacian power traces, lambda_2, lambda_2^2
-    and the connectivity indicator (all p-free).
+def _graph_stats(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and the 8 rows (1, tr L^k for k = 1..4, lambda_2,
+    lambda_2^2, connected) of the graphs with bitmasks start..stop-1.
 
     One product L^2 gives all four traces: tr(AB) is the entrywise sum of
     A * B when B is symmetric, and L and L^2 are, so tr L^2 = sum(L * L),
@@ -63,21 +54,42 @@ def _structure(n: int):
     integer, so the traces are exact.
     """
     m = n * (n - 1) // 2
-    masks = np.arange(1 << m, dtype=np.uint32)
+    masks = np.arange(start, stop, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(bool)
-    edge_counts = bits.sum(axis=1, dtype=np.int64)
-    # the pair arrays (6 MB at n = 6) live through this call only, not the solves
-    lap = laplacians_from_pairs(*_set_pairs(bits, n), True, len(bits), n)
-
+    # np.nonzero(bits), taken on the flat index: the 2-d form is about 4x slower here
+    graph, pair = np.divmod(np.flatnonzero(bits), m)
+    i, j = pair_arrays(n)
+    lap = laplacians_from_pairs(graph, i[pair], j[pair], True, len(bits), n)
     l2 = lap @ lap
-    traces = {
-        1: np.einsum("bii->b", lap),
-        2: np.einsum("bij,bij->b", lap, lap),
-        3: np.einsum("bij,bij->b", l2, lap),
-        4: np.einsum("bij,bij->b", l2, l2),
-    }
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
-    return edge_counts, traces, lambda2s, lambda2s * lambda2s, lambda2s > EPS_ZERO
+    return bits.sum(axis=1, dtype=np.int64), np.stack([
+        np.ones(len(bits)), np.einsum("bii->b", lap), np.einsum("bij,bij->b", lap, lap),
+        np.einsum("bij,bij->b", l2, lap), np.einsum("bij,bij->b", l2, l2),
+        lambda2s, lambda2s * lambda2s, lambda2s > EPS_ZERO])
+
+
+@lru_cache(maxsize=8)
+def _structure(n: int) -> np.ndarray:
+    """Read-only p-free (8, M+1) table: entry (r, m) sums ``_graph_stats``
+    row r over the C(M, m) graphs with m edges.
+
+    Graphs are built, solved and reduced by edge count ``_SLICE_GRAPHS`` at a
+    time, so the build holds one slice of Laplacians, not all 2^M (22 MB at
+    n = 6). Values are split into multiples of 2^-20, whose sums are exact
+    (below 2^28, so 48 bits, for n <= 6), and remainders, so each entry is
+    the exact sum up to about one rounding; the integer rows are exact.
+    """
+    m = n * (n - 1) // 2
+    coarse, fine = np.zeros((8, m + 1)), np.zeros((8, m + 1))
+    for start in range(0, 1 << m, _SLICE_GRAPHS):
+        edge_counts, stats = _graph_stats(n, start, min(start + _SLICE_GRAPHS, 1 << m))
+        grid = np.round(stats * 2.0 ** 20) * 2.0 ** -20
+        for table, part in ((coarse, grid), (fine, stats - grid)):
+            for row, values in zip(table, part):
+                row += np.bincount(edge_counts, weights=values, minlength=m + 1)
+    table = coarse + fine
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_exact(params: ModelParams) -> ExactReport:
@@ -86,20 +98,19 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
     if n > ORACLE_N_CAP:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
-    edge_counts, traces, lambda2s, lambda2s_sq, connected = _structure(n)
     m = np.arange(params.num_pairs + 1)
-    w = (params.p ** m * params.q ** (params.num_pairs - m))[edge_counts]
-    prob_connected = float(w[connected].sum())
+    total, *traces, lambda2, lambda2_sq, connected = (
+        _structure(n) @ (params.p ** m * params.q ** (params.num_pairs - m))).tolist()
     return ExactReport(
         n=n,
         p=params.p,
-        expected_trace_lk={k: float(w @ traces[k]) for k in (1, 2, 3, 4)},
-        eigenvalue_moments={k: float(w @ traces[k]) / (n - 1) for k in (1, 2, 3, 4)},
-        expected_lambda2=float(w @ lambda2s),
-        expected_lambda2_sq=float(w @ lambda2s_sq),
-        prob_connected=prob_connected,
-        prob_lambda2_ge_lambda_min=prob_connected,
-        weight_total=float(w.sum()),
+        expected_trace_lk=dict(enumerate(traces, 1)),
+        eigenvalue_moments={k: t / (n - 1) for k, t in enumerate(traces, 1)},
+        expected_lambda2=lambda2,
+        expected_lambda2_sq=lambda2_sq,
+        prob_connected=connected,
+        prob_lambda2_ge_lambda_min=connected,
+        weight_total=total,
     )
 
 

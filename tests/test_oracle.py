@@ -1,4 +1,7 @@
 """Exact enumeration: weights, hand-checkable values, and union equivalence."""
+import math
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from erunion import (CapabilityError, ModelParams, all_pairs, enumerate_exact,
                      exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
-from erunion.oracle import _structure
+from erunion.oracle import _graph_stats, _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
 
 
@@ -23,8 +26,7 @@ class TestWeights:
     def test_small_p_matches_extended_precision(self, n, p):
         # P[connected] = sum over m of (connected graphs with m edges) p^m q^(M-m),
         # summed in 50-digit arithmetic from the same double p
-        edge_counts, _, _, _, connected = _structure(n)
-        counts = np.bincount(edge_counts[connected])
+        counts = _structure(n)[7]
         num_pairs = n * (n - 1) // 2
         with mp.workdps(50):
             exact = mp.fsum(int(c) * mp.mpf(p) ** m * (1 - mp.mpf(p)) ** (num_pairs - m)
@@ -80,7 +82,8 @@ class TestSharedIndicators:
     # labelled connected graphs on n nodes (OEIS A001187)
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
     def test_indicators_over_every_graph(self, n, count):
-        lambda2s, _, connected = _structure(n)[-3:]
+        _, stats = _graph_stats(n, 0, 1 << (n * (n - 1) // 2))
+        lambda2s, connected = stats[5], stats[7].astype(bool)
         assert len(connected) == 1 << (n * (n - 1) // 2)
         assert int(np.count_nonzero(connected)) == count
         # Fiedler's floor: every connected graph has lambda_2 >= lambda_min,
@@ -90,6 +93,51 @@ class TestSharedIndicators:
         pairs = all_pairs(n)
         path = sum(1 << pairs.index((i, i + 1)) for i in range(n - 1))
         assert lambda2s[path] == pytest.approx(lam_min, abs=1e-12)
+
+
+class TestEdgeCountTable:
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
+    def test_count_and_connected_rows(self, n, count):
+        num_pairs = n * (n - 1) // 2
+        table = _structure(n)
+        assert table.shape == (8, num_pairs + 1)
+        assert table[0].tolist() == [math.comb(num_pairs, m) for m in range(num_pairs + 1)]
+        assert table[7].sum() == count
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1e-4, 5e-4, 0.3, 0.5, 0.999, "union"])
+    def test_matches_per_graph_weighted_sum(self, n, p):
+        # every field as the weighted sum over all 2^M graphs, each graph
+        # weighted by its own edge count; math.fsum sums the 2^M products
+        # exactly, since a float64 sum of them would itself err by ~1e-15
+        rep = (exact_union_report(ModelParams(n, 0.2), 3) if p == "union"
+               else enumerate_exact(ModelParams(n, p)))
+        num_pairs = n * (n - 1) // 2
+        edge_counts, stats = _graph_stats(n, 0, 1 << num_pairs)
+        m = np.arange(num_pairs + 1)
+        w = (rep.p ** m * (1 - rep.p) ** (num_pairs - m))[edge_counts]
+        total, *traces, lambda2, lambda2_sq, connected = (
+            math.fsum((w * row).tolist()) for row in stats)
+        fields = [(rep.weight_total, total), (rep.expected_lambda2, lambda2),
+                  (rep.expected_lambda2_sq, lambda2_sq), (rep.prob_connected, connected),
+                  (rep.prob_lambda2_ge_lambda_min, connected)]
+        for k, trace in enumerate(traces, 1):
+            fields += [(rep.expected_trace_lk[k], trace),
+                       (rep.eigenvalue_moments[k], trace / (n - 1))]
+        for got, want in fields:
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_cold_build_memory_is_bounded(self):
+        # the n = 6 build holds one slice of graphs at a time; building all
+        # 2^15 Laplacians and their solves at once peaked at 22 MB
+        _structure.cache_clear()
+        tracemalloc.start()
+        try:
+            _structure(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestUnionReports:
@@ -105,7 +153,6 @@ class TestUnionReports:
 
     def test_union_equivalence_against_literal_unions(self):
         # Monte Carlo of literal 3-graph unions lands inside the Wilson
-        # interval around the enumeration value at the effective probability
         # interval around the enumeration value at the effective probability;
         # constituent k draws single-graph masks from its own seed range
         params = ModelParams(4, 0.3)
