@@ -12,31 +12,24 @@ from .bounds import (bound_report, connectivity_probability_bound,
                      expected_lambda2_bounds, lambda2_variance_bounds, n_min,
                      n_min_asymptotic, order_stat_expectation_bounds,
                      paley_zygmund_bound, union_effective_params)
-from .errors import (CapabilityError, DimensionError, ErUnionError,
-                     InfeasibleError, ValidationError)
-from .graphs import (GraphSample, ModelParams, all_pairs, is_connected_bfs,
-                     laplacian, read_edgelist, sample_graph, sample_union,
-                     union_graphs, write_edgelist)
-from .moments import (eigenvalue_moment, eigenvalue_variances,
-                      laplacian_moment_matrix)
+from .errors import (CapabilityError, ErUnionError, InfeasibleError,
+                     ValidationError)
+from .graphs import (GraphSample, ModelParams, sample_graph, sample_union,
+                     write_edgelist)
+from .moments import eigenvalue_moment, eigenvalue_variances
 from .montecarlo import McConfig, run_mc, wilson_interval
 from .oracle import enumerate_exact, exact_union_report
-from .spectral import (EPS_ZERO, SPECTRAL_N_CEILING, lambda2,
-                       line_graph_lambda_min, structured_matrix_eigs,
-                       symmetric_eigenvalues)
+from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, line_graph_lambda_min
 
 __all__ = [
     "__version__",
     "bound_report", "connectivity_probability_bound", "expected_lambda2_bounds",
     "lambda2_variance_bounds", "n_min", "n_min_asymptotic",
     "order_stat_expectation_bounds", "paley_zygmund_bound", "union_effective_params",
-    "CapabilityError", "DimensionError", "ErUnionError", "InfeasibleError",
-    "ValidationError",
-    "GraphSample", "ModelParams", "all_pairs", "is_connected_bfs", "laplacian",
-    "read_edgelist", "sample_graph", "sample_union", "union_graphs", "write_edgelist",
-    "eigenvalue_moment", "eigenvalue_variances", "laplacian_moment_matrix",
+    "CapabilityError", "ErUnionError", "InfeasibleError", "ValidationError",
+    "GraphSample", "ModelParams", "sample_graph", "sample_union", "write_edgelist",
+    "eigenvalue_moment", "eigenvalue_variances",
     "McConfig", "run_mc", "wilson_interval",
     "enumerate_exact", "exact_union_report",
-    "EPS_ZERO", "SPECTRAL_N_CEILING", "lambda2", "line_graph_lambda_min",
-    "structured_matrix_eigs", "symmetric_eigenvalues",
+    "EPS_ZERO", "SPECTRAL_N_CEILING", "line_graph_lambda_min",
 ]

@@ -55,11 +55,10 @@ class UnionParams:
 
 @dataclass(frozen=True)
 class NminResult:
-    """Minimum union size: real-valued bound, its ceiling, and the log argument."""
+    """Minimum union size: real-valued bound and its ceiling."""
 
     exact_real: float
     rounded_up: int
-    log_argument: float
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,9 @@ def n_min(params: ModelParams) -> NminResult:
         # the variance term vanishes and the criterion needs p_hat = 1
         raise InfeasibleError("n = 2: expected connectivity cannot reach the "
                               "line-graph floor for any union size")
-    root = _nmin_log_argument(n)
-    exact = math.log(root) / math.log1p(-params.p)
+    exact = math.log(_nmin_log_argument(n)) / math.log1p(-params.p)
     _require_finite_union_size(exact, params.p)
-    return NminResult(exact_real=exact, rounded_up=math.ceil(exact), log_argument=root)
+    return NminResult(exact_real=exact, rounded_up=math.ceil(exact))
 
 
 def n_min_asymptotic(p: float) -> float:

@@ -30,6 +30,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CAPABILITY = 3
 
+# no float64 has more than 1074 decimals after the point (2**-1074 has
+# exactly that many), so a larger precision would print only more zeros
+MAX_PRECISION = 1074
+
 
 def _dump_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
@@ -41,13 +45,16 @@ def _printed_size(value: int) -> int | float:
     return value if value <= 2 ** 53 else float(value)
 
 
-def _nonnegative_int(text: str) -> int:
+def _precision(text: str) -> int:
+    """A ``--precision`` value: decimals after the point, at most
+    :data:`MAX_PRECISION`."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    if not 0 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 0 to {MAX_PRECISION}, got {text!r}")
     return value
 
 
@@ -198,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--p", type=float, required=True)
     p_prob.add_argument("--N", type=int, required=True)
     p_prob.add_argument("--json", action="store_true")
-    p_prob.add_argument("--precision", type=_nonnegative_int, default=3)
+    p_prob.add_argument("--precision", type=_precision, default=3)
     p_prob.set_defaults(func=_cmd_probbound)
 
     p_tab = sub.add_parser("tables", help="regenerate a reference table as CSV")
     p_tab.add_argument("which", type=int, choices=(1, 2, 3))
     p_tab.add_argument("--json", action="store_true")
-    p_tab.add_argument("--precision", type=_nonnegative_int, default=3)
+    p_tab.add_argument("--precision", type=_precision, default=3)
     p_tab.set_defaults(func=_cmd_tables)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo run with analytic bounds (JSON report)")

@@ -9,10 +9,6 @@ class ValidationError(ErUnionError, ValueError):
     """Invalid argument or malformed input data."""
 
 
-class DimensionError(ValidationError):
-    """Operands are defined on node sets of different sizes."""
-
-
 class InfeasibleError(ErUnionError, ArithmeticError):
     """The requested criterion cannot be met by any union size."""
 

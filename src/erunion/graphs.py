@@ -1,9 +1,9 @@
-"""Erdos-Renyi graph samples, unions, and matrix views.
+"""Erdos-Renyi graph samples, the one Laplacian builder, and edge-list output.
 
 Nodes are labelled 0..n-1. Admissible node pairs are enumerated in
-lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...; this order fixes
-both the sampling draw order and the bitmask encoding used by the
-enumeration oracle. Sampling draws only the pairs in the rarer state
+lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ... (:func:`pair_arrays`);
+this order fixes both the sampling draw order and the bitmask encoding used
+by the enumeration oracle. Sampling draws only the pairs in the rarer state
 (present or missing), and a union of N samples is drawn as one G(n, p_hat)
 sample, so a sample is a pure function of (params, N, seed); see
 :mod:`erunion.rng` for the stream definition.
@@ -11,16 +11,14 @@ sample, so a sample is a pure function of (params, N, seed); see
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 import numpy as np
 
 from . import rng
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
+        if self.n > 2**53:
+            # the message leaves out n, which may have hundreds of digits
+            raise ValidationError("n must be at most 2**53: the closed forms take n "
+                                  "as a float64")
         if not 0.0 < float(self.p) < 1.0:
             raise ValidationError(f"p must lie in the open interval (0, 1), got {self.p!r}")
 
@@ -81,26 +83,6 @@ class GraphSample:
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"invalid edge {e!r} for n={self.n}")
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "GraphSample":
-        """Build a sample from unordered pairs, normalising each to (min, max)."""
-        norm = set()
-        for i, j in edges:
-            if i == j:
-                raise ValidationError(f"self-loop ({i}, {j}) is not allowed")
-            norm.add((min(i, j), max(i, j)))
-        return cls(n, frozenset(norm))
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-
-@lru_cache(maxsize=64)
-def all_pairs(n: int) -> tuple:
-    """Admissible node pairs of an n-node graph in lexicographic order."""
-    return tuple(combinations(range(n), 2))
-
 
 @lru_cache(maxsize=64)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +119,15 @@ def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, prese
 
 
 def sample_graph(params: ModelParams, seed: int) -> GraphSample:
-    """One G(n, p) sample from the stream with this seed (:func:`erunion.rng.edge_masks`)."""
+    """One G(n, p) sample from the stream with this seed: the pairs that
+    :func:`erunion.rng.rare_pairs` draws are its edges when p <= 1/2 and
+    its missing pairs otherwise."""
     seeds = np.array([seed & rng.MASK], dtype=np.uint64)
-    mask = rng.edge_masks(seeds, params.num_pairs, params.p)[0]
-    pairs = all_pairs(params.n)
-    edges = frozenset(pairs[e] for e in np.flatnonzero(mask))
-    return GraphSample(params.n, edges)
+    _, pair = rng.rare_pairs(seeds, params.num_pairs, params.p)
+    if rng.missing_is_rare(params.p):
+        pair = np.delete(np.arange(params.num_pairs), pair)
+    a, b = pair_arrays(params.n)
+    return GraphSample(params.n, frozenset(zip(a[pair].tolist(), b[pair].tolist())))
 
 
 def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample:
@@ -156,77 +141,8 @@ def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample
     return sample_graph(ModelParams(params.n, p_hat), seed)
 
 
-def union_graphs(samples: Sequence[GraphSample]) -> GraphSample:
-    """Edge-set union of graphs on a common node set."""
-    if not samples:
-        raise ValidationError("union_graphs needs at least one graph")
-    n = samples[0].n
-    merged = set()
-    for g in samples:
-        if g.n != n:
-            raise DimensionError(f"node counts differ: {g.n} != {n}")
-        merged |= g.edges
-    return GraphSample(n, frozenset(merged))
-
-
-def laplacian(g: GraphSample) -> np.ndarray:
-    """Graph Laplacian L = D - A (dense, symmetric, zero row sums)."""
-    a, b = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
-    return laplacians_from_pairs(np.zeros_like(a), a, b, True, 1, g.n)[0]
-
-
-def is_connected_bfs(g: GraphSample) -> bool:
-    """True iff every node is reachable from node 0 (breadth-first traversal)."""
-    if g.n == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
-
-
 def write_edgelist(g: GraphSample, fp: IO[str]) -> None:
     """Serialise as the edge-list text format: header ``n=<count>``, one ``i j`` per line."""
     fp.write(f"n={g.n}\n")
     for i, j in sorted(g.edges):
         fp.write(f"{i} {j}\n")
-
-
-def _is_ascii_number(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
-def read_edgelist(fp: IO[str]) -> GraphSample:
-    """Parse the edge-list text format produced by :func:`write_edgelist`: a
-    header ``n=<count>``, then one ``i j`` pair per line with ``i < j``, each
-    pair at most once and every number in ASCII digits."""
-    header = fp.readline().strip()
-    if not (header.startswith("n=") and _is_ascii_number(header[2:])):
-        raise ValidationError(f"edge-list header must be 'n=<count>', got {header!r}")
-    edges = set()
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not all(map(_is_ascii_number, parts)):
-            raise ValidationError(f"bad edge line {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if i >= j:
-            raise ValidationError(f"edge line {line!r} needs i < j")
-        if (i, j) in edges:
-            raise ValidationError(f"edge line {line!r} repeats an earlier pair")
-        edges.add((i, j))
-    return GraphSample(int(header[2:]), frozenset(edges))

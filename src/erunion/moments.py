@@ -28,6 +28,7 @@ class MomentSet:
 
 
 def _coefficient(n: int, p: float, k: int) -> float:
+    """Coefficient c_k with E[L^k] = c_k (nI - J)."""
     # Horner in p; the quartic benefits from it at large n
     if k == 1:
         return p
@@ -40,11 +41,6 @@ def _coefficient(n: int, p: float, k: int) -> float:
                   + 6.0 * (2 * n - 7) * (n - 2)) * p
                  + 25.0 * (n - 2)) * p + 8.0) * p
     raise ValidationError(f"moment order k must be in 1..4, got {k!r}")
-
-
-def laplacian_moment_matrix(params: ModelParams, k: int) -> float:
-    """Coefficient c_k with E[L^k] = c_k (nI - J)."""
-    return _coefficient(params.n, params.p, k)
 
 
 def eigenvalue_moment(params: ModelParams, k: int) -> float:

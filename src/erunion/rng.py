@@ -79,11 +79,6 @@ def trial_seeds_np(master_seed: int, start: int, count: int) -> np.ndarray:
         return mix64_np(base + t * _PHI_U64)
 
 
-def stream_draws(seed: int, count: int) -> list[int]:
-    """First ``count`` draws of a stream (scalar reference path)."""
-    return [mix64((seed + (j + 1) * PHI) & MASK) for j in range(count)]
-
-
 def missing_is_rare(p: float) -> bool:
     """True iff :func:`rare_pairs` samples the missing pairs at p, not the present ones."""
     return p > 0.5
@@ -143,12 +138,3 @@ def rare_pairs(seeds: np.ndarray, num_pairs: int, p: float) -> tuple[np.ndarray,
     trial, pair = np.concatenate(trials), np.concatenate(pairs)
     order = np.argsort(trial, kind="stable")
     return trial[order], pair[order]
-
-
-def edge_masks(seeds: np.ndarray, num_pairs: int, p: float) -> np.ndarray:
-    """G(n, p) edge masks over ``num_pairs`` pairs, one uint8 row per stream seed."""
-    trial, pair = rare_pairs(seeds, num_pairs, p)
-    missing = missing_is_rare(p)
-    masks = (np.ones if missing else np.zeros)((len(seeds), num_pairs), dtype=np.uint8)
-    masks[trial, pair] = not missing
-    return masks

@@ -1,4 +1,4 @@
-"""Symmetric-matrix eigenvalues and reference spectra.
+"""Symmetric-matrix eigenvalues and the line-graph floor lambda_min.
 
 Eigenvalues come from LAPACK's symmetric drivers, which reduce the matrix to
 tridiagonal form by Householder reflections, an unconditionally convergent
@@ -220,46 +220,6 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
             else:
                 values[t] = ws.w[0]
     return values
-
-
-def symmetric_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, ascending.
-
-    Raises :class:`ValidationError` when the input is not square or departs
-    from symmetry by more than 1e-12 relative to its largest entry.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-        raise ValidationError("matrix is not symmetric to within 1e-12")
-    return np.linalg.eigvalsh(m)
-
-
-def lambda2(laplacian_matrix) -> float:
-    """Algebraic connectivity: second-smallest eigenvalue of a graph Laplacian.
-
-    Positive (above :data:`EPS_ZERO`) iff the graph is connected.
-    """
-    m = np.asarray(laplacian_matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValidationError(f"expected a square Laplacian of size >= 2, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m.sum(axis=1)))) > 1e-9 * scale:
-        raise ValidationError("row sums are not zero: not a graph Laplacian")
-    w = symmetric_eigenvalues(m)
-    return float(w[1])
-
-
-def structured_matrix_eigs(alpha: float, beta: float, n: int) -> tuple[float, float]:
-    """Eigenvalues of (alpha-beta)I + beta*J: the simple one and the (n-1)-fold one.
-
-    Returns ``(alpha + (n-1)*beta, alpha - beta)``.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    return alpha + (n - 1) * beta, alpha - beta
 
 
 def line_graph_lambda_min(n: int) -> float:

@@ -12,6 +12,7 @@ from erunion import (InfeasibleError, ModelParams, ValidationError,
                      lambda2_variance_bounds, line_graph_lambda_min, n_min,
                      n_min_asymptotic, order_stat_expectation_bounds,
                      paley_zygmund_bound, union_effective_params)
+from erunion.bounds import _nmin_log_argument
 
 
 class TestUnionEffectiveParams:
@@ -210,7 +211,7 @@ class TestNmin:
 
     def test_criterion_consistency(self):
         # at N = rounded_up the expectation lower bound clears the line-graph
-        # floor; at N-1 the threshold's own criterion q_hat <= log_argument fails
+        # floor; at N-1 the threshold's own criterion q_hat <= the log argument fails
         for n, p in ((10, 0.1), (25, 0.2), (50, 0.1), (200, 0.05)):
             res = n_min(ModelParams(n, p))
             u = union_effective_params(ModelParams(n, p), res.rounded_up)
@@ -218,7 +219,7 @@ class TestNmin:
             assert lower >= line_graph_lambda_min(n) - 1e-9
             if res.rounded_up > res.exact_real:
                 q_prev = math.exp((res.rounded_up - 1) * math.log1p(-p))
-                assert q_prev > res.log_argument
+                assert q_prev > _nmin_log_argument(n)
 
 
 class TestNminAsymptotic:

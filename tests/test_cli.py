@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from erunion import (ModelParams, bound_report, lambda2, laplacian,
-                     read_edgelist)
+from erunion import ModelParams, bound_report
 from erunion.cli import build_parser, main
+from reference import lambda2, laplacian, read_edgelist
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,14 +80,39 @@ def test_subnormal_p_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["nmin", "--n", str(10**400), "--p", "0.1"],
+    ["probbound", "--n", str(10**160), "--p", "0.1", "--N", "4"],
+    ["mc", "--n", str(10**400), "--p", "0.1", "--N", "4", "--trials", "5", "--seed", "0"],
+])
+def test_n_beyond_float64_is_a_domain_error(capsys, argv):
+    # the closed forms take n as a float64: 6 n^2 overflows from n ~ 1e154
+    # and float(n) itself from n ~ 1e309
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "2**53" in err
+    assert len(err) <= 100
+
+
+@pytest.mark.parametrize("argv", [
     ["tables", "2", "--precision", "-1"],
     ["probbound", "--n", "50", "--p", "0.05", "--N", "50", "--precision", "-2"],
+    # a float64 has at most 1074 decimals, so more would print only zeros
+    ["tables", "2", "--precision", "3000000000"],
+    ["probbound", "--n", "50", "--p", "0.05", "--N", "50", "--precision", "1075"],
 ])
 def test_negative_precision_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "--precision" in capsys.readouterr().err
+
+
+def test_largest_precision_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "tables", "2", "--precision", "1074")
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        assert len(line.split(",")[1].split(".")[1]) == 1074
 
 
 class TestProbbound:

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erunion import (ModelParams, ValidationError, eigenvalue_moment,
-                     eigenvalue_variances, enumerate_exact,
-                     laplacian_moment_matrix, structured_matrix_eigs)
+                     eigenvalue_variances, enumerate_exact)
+from erunion.moments import _coefficient
+from reference import edge_masks, structured_matrix_eigs
 
 
 def enumerate_moment_matrix(n, p, k):
@@ -32,29 +33,29 @@ def enumerate_moment_matrix(n, p, k):
 
 class TestMomentMatrix:
     def test_first_coefficient_is_p(self):
-        c = laplacian_moment_matrix(ModelParams(10, 0.5), 1)
+        c = _coefficient(10, 0.5, 1)
         assert c == 0.5
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_coefficients_vanish_as_p_to_zero(self, k):
-        c = laplacian_moment_matrix(ModelParams(10, 1e-12), k)
+        c = _coefficient(10, 1e-12, k)
         assert 0 < c < 1e-10
 
     def test_second_coefficient_value(self):
-        c = laplacian_moment_matrix(ModelParams(4, 0.5), 2)
+        c = _coefficient(4, 0.5, 2)
         assert c == pytest.approx(1.5, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matrix_matches_enumeration_n4(self, k):
         n, p = 4, 0.5
-        c = laplacian_moment_matrix(ModelParams(n, p), k)
+        c = _coefficient(n, p, k)
         target = c * (n * np.eye(n) - np.ones((n, n)))
         assert np.max(np.abs(enumerate_moment_matrix(n, p, k) - target)) <= 1e-12
 
     def test_k_out_of_range(self):
         for k in (0, 5, -1):
             with pytest.raises(ValidationError):
-                laplacian_moment_matrix(ModelParams(4, 0.5), k)
+                _coefficient(4, 0.5, k)
 
 
 class TestEigenvalueMoment:
@@ -95,7 +96,7 @@ class TestEigenvalueMoment:
         n, p, trials = 10, 0.3, 20_000
         num_pairs = n * (n - 1) // 2
         seeds = rng.trial_seeds_np(606, 0, trials)
-        masks = rng.edge_masks(seeds, num_pairs, p)
+        masks = edge_masks(seeds, num_pairs, p)
         mean_trace = 2.0 * masks.sum() / trials
         se = 2.0 * math.sqrt(num_pairs * p * (1 - p) / trials)
         assert abs(mean_trace - n * (n - 1) * p) <= 5 * se
@@ -104,7 +105,7 @@ class TestEigenvalueMoment:
         # c_k (nI - J) has simple eigenvalue 0 and repeated eigenvalue n c_k
         params = ModelParams(7, 0.45)
         for k in (1, 2, 3, 4):
-            c = laplacian_moment_matrix(params, k)
+            c = _coefficient(params.n, params.p, k)
             simple, repeated = structured_matrix_eigs(c * (params.n - 1), -c, params.n)
             assert simple == pytest.approx(0.0, abs=1e-12)
             assert repeated == pytest.approx(eigenvalue_moment(params, k), rel=1e-12)

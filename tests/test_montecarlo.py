@@ -12,14 +12,14 @@ import pytest
 
 from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      bound_report, enumerate_exact, expected_lambda2_bounds,
-                     is_connected_bfs, lambda2, lambda2_variance_bounds,
-                     laplacian, line_graph_lambda_min, run_mc, sample_union,
-                     union_effective_params, wilson_interval)
+                     lambda2_variance_bounds, line_graph_lambda_min, run_mc,
+                     sample_union, union_effective_params, wilson_interval)
 from erunion import montecarlo, rng
 from erunion.graphs import pair_arrays
 from erunion.montecarlo import lambda2s_from_pairs
 from erunion.rng import trial_seed
 from erunion.spectral import DSYEVR_MIN_N, EPS_ZERO, eigenvalue_at
+from reference import edge_masks, is_connected_bfs, lambda2, laplacian
 
 # n=40, N=2: p_hat = 0.0975 sits at the connectivity threshold ln(40)/40,
 # where about half the unions have a node of degree 0
@@ -65,7 +65,6 @@ class TestDegenerateAndErrors:
         # p_hat = 1 - 0.5**100 rounds to 1.0 in double precision
         def no_sampling(*args):
             raise AssertionError("sampled before validating p_hat")
-        monkeypatch.setattr(rng, "edge_masks", no_sampling)
         monkeypatch.setattr(rng, "rare_pairs", no_sampling)
         with pytest.raises(ValidationError):
             run_mc(McConfig(ModelParams(10, 0.5), num_graphs=100, trials=10, master_seed=0))
@@ -142,12 +141,12 @@ class TestDeterminism:
         # sampler runs many top-up rounds; masks and estimates stay the same
         seeds = rng.trial_seeds_np(5, 0, 40)
         ps = (1e-300, 0.05, 0.5, 0.9, 1 - 1e-12)
-        masks = [rng.edge_masks(seeds, 190, p) for p in ps]
+        masks = [edge_masks(seeds, 190, p) for p in ps]
         configs = (THRESHOLD_CONFIG, DENSE_CONFIG)
         estimates = [run_mc(cfg) for cfg in configs]
         monkeypatch.setattr(rng, "_overdraw", lambda mean, num_pairs: 3)
         for p, mask in zip(ps, masks):
-            assert np.array_equal(rng.edge_masks(seeds, 190, p), mask)
+            assert np.array_equal(edge_masks(seeds, 190, p), mask)
         assert [run_mc(cfg) for cfg in configs] == estimates
 
     def test_many_chunks_match_one_chunk(self, monkeypatch):
@@ -335,7 +334,7 @@ class TestFullSolveSlices:
         # 200 unions at p = 1/2, every one solved in full, in one batch
         n = 30
         seeds = rng.trial_seeds_np(3, 0, 200)
-        masks = rng.edge_masks(seeds, n * (n - 1) // 2, 0.5)
+        masks = edge_masks(seeds, n * (n - 1) // 2, 0.5)
         degrees = _degrees(masks, n)
         assert ((degrees > 0) & (degrees < n - 1)).all()
         stacks = self._record_full_solves(monkeypatch, n)
@@ -465,7 +464,7 @@ class TestAboveTheCutoff:
         cfg = ABOVE_CUTOFF_CONFIGS[1]
         n = cfg.params.n
         p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
-        masks = rng.edge_masks(rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials),
+        masks = edge_masks(rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials),
                                cfg.params.num_pairs, p_hat)
         degrees = _degrees(masks, n)
         full = ((degrees >= 1) & (degrees <= n - 2)).all(axis=1)
@@ -666,7 +665,7 @@ class TestDegreeFirstSolve:
         n = cfg.params.n
         p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
         seeds = rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials)
-        masks = rng.edge_masks(seeds, cfg.params.num_pairs, p_hat)
+        masks = edge_masks(seeds, cfg.params.num_pairs, p_hat)
         degrees = _degrees(masks, n)
         solved_in_full = int(((degrees >= 1) & (degrees <= n - 2)).all(axis=1).sum())
         assert solved_in_full < cfg.trials
@@ -699,7 +698,7 @@ class TestDegreeFirstSolve:
         kept = []
         for start in range(0, trials, 20_000):
             seeds = rng.trial_seeds_np(6, start, min(20_000, trials - start))
-            masks = rng.edge_masks(seeds, params.num_pairs, p_hat)
+            masks = edge_masks(seeds, params.num_pairs, p_hat)
             kept.append(masks[(_degrees(masks, n) == n - 1).any(axis=1)])
         masks = np.concatenate(kept)
         degrees = _degrees(masks, n)
@@ -719,7 +718,7 @@ class TestDegreeFirstSolve:
         p_hat, _ = ModelParams(n, 0.5).effective_probabilities(4)
         chunk = montecarlo._chunk_trials(n, p_hat, 2000)
         assert chunk == 602
-        masks = rng.edge_masks(rng.trial_seeds_np(1, 0, chunk), n * (n - 1) // 2, p_hat)
+        masks = edge_masks(rng.trial_seeds_np(1, 0, chunk), n * (n - 1) // 2, p_hat)
         degrees = _degrees(masks, n)
         universal = (degrees == n - 1).any(axis=1)
         size_max = (degrees[universal] < n - 1).sum(axis=1).max()
@@ -749,7 +748,7 @@ class TestDegreeFirstSolve:
         n = cfg.params.n
         p_hat, _ = cfg.params.effective_probabilities(cfg.num_graphs)
         seeds = rng.trial_seeds_np(cfg.master_seed, 0, cfg.trials)
-        masks = rng.edge_masks(seeds, cfg.params.num_pairs, p_hat)
+        masks = edge_masks(seeds, cfg.params.num_pairs, p_hat)
         degrees = _degrees(masks, n)
         full = ((degrees >= 1) & (degrees <= n - 2)).all(axis=1)
         assert full.sum() >= cfg.trials / 4

@@ -6,12 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from erunion import (CapabilityError, ModelParams, all_pairs, enumerate_exact,
+from erunion import (CapabilityError, ModelParams, enumerate_exact,
                      exact_union_report, expected_lambda2_bounds, rng,
                      union_effective_params, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.oracle import _graph_stats, _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
+from reference import all_pairs, edge_masks
 
 
 class TestWeights:
@@ -163,7 +164,7 @@ class TestUnionReports:
             masks = np.zeros((chunk, params.num_pairs), dtype=np.uint8)
             for k in range(num):
                 seeds = rng.trial_seeds_np(77, k * trials + start, chunk)
-                masks |= rng.edge_masks(seeds, params.num_pairs, params.p)
+                masks |= edge_masks(seeds, params.num_pairs, params.p)
             trial, pair = np.nonzero(masks)
             i, j = pair_arrays(params.n)
             lap = laplacians_from_pairs(trial, i[pair], j[pair], True, chunk, params.n)

@@ -1,5 +1,12 @@
 """The package's public surface."""
+import ast
+import re
+from pathlib import Path
+
 import erunion
+
+SRC = Path(erunion.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_star_import_resolves_every_export():
@@ -7,3 +14,28 @@ def test_star_import_resolves_every_export():
     namespace = {}
     exec("from erunion import *", namespace)
     assert set(erunion.__all__) <= namespace.keys()
+
+
+def _names_read_in_package():
+    """Every name the package's modules read, as a variable or an attribute;
+    imports, assignments and def/class lines do not count."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_by_the_package_or_the_benchmark():
+    # a name only tests use belongs in tests/reference.py; the benchmark
+    # names its traced functions in strings, so its files are searched as text
+    read = _names_read_in_package()
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unused = [name for name in erunion.__all__ if name != "__version__"
+              and name not in read and not re.search(rf"\b{name}\b", bench)]
+    assert unused == []

