@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .bounds import (bound_report, connectivity_probability_bound,
                      expected_lambda2_bounds, lambda2_variance_bounds, n_min,
-                     n_min_asymptotic, order_stat_expectation_bounds,
-                     paley_zygmund_bound, union_effective_params)
+                     n_min_asymptotic, paley_zygmund_bound, union_effective_params)
 from .errors import (CapabilityError, ErUnionError, InfeasibleError,
                      ValidationError)
 from .graphs import (GraphSample, ModelParams, sample_graph, sample_union,
                      write_edgelist)
-from .moments import eigenvalue_moment, eigenvalue_variances
+from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc, wilson_interval
 from .oracle import enumerate_exact, exact_union_report
 from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, line_graph_lambda_min
@@ -25,10 +24,10 @@ __all__ = [
     "__version__",
     "bound_report", "connectivity_probability_bound", "expected_lambda2_bounds",
     "lambda2_variance_bounds", "n_min", "n_min_asymptotic",
-    "order_stat_expectation_bounds", "paley_zygmund_bound", "union_effective_params",
+    "paley_zygmund_bound", "union_effective_params",
     "CapabilityError", "ErUnionError", "InfeasibleError", "ValidationError",
     "GraphSample", "ModelParams", "sample_graph", "sample_union", "write_edgelist",
-    "eigenvalue_moment", "eigenvalue_variances",
+    "eigenvalue_moment",
     "McConfig", "run_mc", "wilson_interval",
     "enumerate_exact", "exact_union_report",
     "EPS_ZERO", "SPECTRAL_N_CEILING", "line_graph_lambda_min",

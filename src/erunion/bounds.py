@@ -27,9 +27,12 @@ the probability the paper names.
 
 Numerics. The closed forms are evaluated without cancellation, so no clamp is
 needed: var2 = m4 - m2^2 as n p q (8 + (n-2) p (21 + (8n-21) p)) in
-:mod:`erunion.moments`, m2 - (n p_hat)^2 as 2 n p_hat q_hat, and lambda_min as
-2 sin^2(pi/n) / (1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is then
-0 for every n >= 3 and 4 p_hat q_hat at n = 2 (proof in
+:mod:`erunion.moments`, m2 - (n p_hat)^2 as 2 n p_hat q_hat, the Var[lambda_2]
+upper bound m2 - max(raw, 0)^2 as 2 n p_hat q_hat + s (n p_hat + raw) when the
+raw E[lambda_2] lower bound is positive (s = sqrt(2n(n-2) p_hat q_hat) =
+n p_hat - raw) and as m2 otherwise, and lambda_min as 2 sin^2(pi/n) /
+(1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is then 0 for every
+n >= 3 and 4 p_hat q_hat at n = 2, equal to the upper bound there (proof in
 :func:`lambda2_variance_bounds`).
 """
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, ValidationError
 from .graphs import ModelParams
-from .moments import eigenvalue_moment, eigenvalue_variances
+from .moments import _square_moments
 from .spectral import line_graph_lambda_min
 
 
@@ -97,29 +100,27 @@ def union_effective_params(params: ModelParams, num_graphs: int) -> UnionParams:
     return UnionParams(base=params, num_graphs=num_graphs, p_hat=p_hat, q_hat=q_hat)
 
 
-def order_stat_expectation_bounds(mu: float, sigma: float, m: int,
-                                  k: int) -> tuple[float, float]:
-    """Mean bounds for the k-th order statistic of m variables with common
-    mean mu and variance sigma^2:
-
-        mu - sigma*sqrt((m-k)/k)  <=  E[X_(k)]  <=  mu + sigma*sqrt((k-1)/(m-k+1))
-    """
-    if sigma < 0.0:
-        raise ValidationError(f"sigma must be nonnegative, got {sigma!r}")
-    if not (isinstance(m, int) and isinstance(k, int) and 1 <= k <= m):
-        raise ValidationError(f"need integers 1 <= k <= m, got k={k!r}, m={m!r}")
-    lower = mu - sigma * math.sqrt((m - k) / k)
-    upper = mu + sigma * math.sqrt((k - 1) / (m - k + 1))
-    return lower, upper
+def _e_lambda2_spread(n: int, p_hat: float, q_hat: float) -> float:
+    # the mean-variance bound E[X_(1)] >= mu - sigma sqrt(m-1) on the least of
+    # m = n-1 variables, here the nonzero-indexed eigenvalues with sigma^2 =
+    # 2 n p q, so the bound on E[lambda_2] is n p_hat minus this spread
+    return math.sqrt(2.0 * n * p_hat * q_hat) * math.sqrt(n - 2)
 
 
 def _e_lambda2_lower_raw(n: int, p_hat: float, q_hat: float) -> float:
-    # first order statistic of the n-1 nonzero-indexed eigenvalues;
-    # sigma*sqrt(n-2) with sigma^2 = 2 n p q equals sqrt(2n(n-2) p q)
-    mu = n * p_hat
-    sigma = math.sqrt(2.0 * n * p_hat * q_hat)
-    lower, _ = order_stat_expectation_bounds(mu, sigma, m=n - 1, k=1)
-    return lower
+    return n * p_hat - _e_lambda2_spread(n, p_hat, q_hat)
+
+
+def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float, m2: float,
+                     var2: float) -> tuple[float, float]:
+    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and (m2, var2) at p_hat."""
+    var1 = 2.0 * n * p_hat * q_hat  # m2 - (n p_hat)^2
+    lower = max(var1 - math.sqrt(var2) * math.sqrt(n - 2), 0.0)
+    # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw, 0)^2; with s = n p_hat - raw,
+    # m2 - raw^2 = var1 + s (n p_hat + raw), a sum of nonnegative terms
+    if raw <= 0.0:
+        return lower, m2
+    return lower, var1 + _e_lambda2_spread(n, p_hat, q_hat) * (n * p_hat + raw)
 
 
 def expected_lambda2_bounds(u: UnionParams) -> tuple[float, float]:
@@ -137,25 +138,25 @@ def lambda2_variance_bounds(u: UnionParams) -> VarianceBounds:
     (8 + (n-2) p_hat (21 + (8n-21) p_hat)) it is negative exactly when
     4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
     For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
-    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat.
+    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat,
+    and so is the upper bound.
     """
     n = u.base.n
-    ms = eigenvalue_variances(ModelParams(n, u.p_hat))
-    lower = 2.0 * n * u.p_hat * u.q_hat - ms.sigma2 * math.sqrt(n - 2)
-    # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw lower bound, 0)^2
-    upper = ms.m2 - max(_e_lambda2_lower_raw(n, u.p_hat, u.q_hat), 0.0) ** 2
-    return VarianceBounds(lower=max(lower, 0.0), upper=upper)
+    raw = _e_lambda2_lower_raw(n, u.p_hat, u.q_hat)
+    lower, upper = _variance_bounds(n, u.p_hat, u.q_hat, raw, *_square_moments(n, u.p_hat))
+    return VarianceBounds(lower=lower, upper=upper)
 
 
-def _nmin_log_argument(n: int) -> float:
-    """Argument of the n_min logarithm, evaluated without cancellation.
+def _nmin_log_argument(n: int, lam: float) -> float:
+    """Argument of the n_min logarithm at lambda_min = lam, evaluated without
+    cancellation.
 
     Written as (2n(n-2) + 4nu - 2n(n-2)*(sqrt(1+x) - 1)) / (6n^2 - 8n) with
     u = lambda_min/2 and x = (4u - 8u^2/n)/(n-2); equivalent to
     (4n^2 + 4n(1-cos(pi/n)) - tau(n) - 8n) / (6n^2 - 8n) where
     tau(n) = sqrt(16n^2(n-2)u + 32n(2-n)u^2 + 4n^2(n-2)^2).
     """
-    u = 0.5 * line_graph_lambda_min(n)
+    u = 0.5 * lam
     x = (4.0 * u - 8.0 * u * u / n) / (n - 2)
     s = x / (1.0 + math.sqrt(1.0 + x))  # sqrt(1+x) - 1, cancellation-free
     num = 2.0 * n * (n - 2) + 4.0 * n * u - 2.0 * n * (n - 2) * s
@@ -169,16 +170,20 @@ def _require_finite_union_size(value: float, p: float) -> None:
                               f"overflows double precision")
 
 
-def n_min(params: ModelParams) -> NminResult:
-    """Smallest union size whose expected-connectivity criterion reaches the
-    line-graph floor, as a real-valued bound and its ceiling."""
-    n = params.n
+def _n_min_real(n: int, p: float, lam: float) -> float:
     if n == 2:
         # the variance term vanishes and the criterion needs p_hat = 1
         raise InfeasibleError("n = 2: expected connectivity cannot reach the "
                               "line-graph floor for any union size")
-    exact = math.log(_nmin_log_argument(n)) / math.log1p(-params.p)
-    _require_finite_union_size(exact, params.p)
+    exact = math.log(_nmin_log_argument(n, lam)) / math.log1p(-p)
+    _require_finite_union_size(exact, p)
+    return exact
+
+
+def n_min(params: ModelParams) -> NminResult:
+    """Smallest union size whose expected-connectivity criterion reaches the
+    line-graph floor, as a real-valued bound and its ceiling."""
+    exact = _n_min_real(params.n, params.p, line_graph_lambda_min(params.n))
     return NminResult(exact_real=exact, rounded_up=math.ceil(exact))
 
 
@@ -203,6 +208,18 @@ def paley_zygmund_bound(mean_lb: float, second_moment_ub: float, theta: float) -
     return (1.0 - theta) ** 2 * mean_lb * mean_lb / second_moment_ub
 
 
+def _certified_bound(n: int, p_hat: float, lam: float, raw: float,
+                     m2: float) -> tuple[str, float, float | None]:
+    """(status, value, theta) of the probability bound for a union of at
+    least n_min graphs, from the raw E[lambda_2] lower bound and m2 at p_hat."""
+    if raw <= 0.0:
+        # p_hat below the (2n-4)/(3n-4) positivity threshold: nothing to certify
+        return "zero_lower_bound", 0.0, None
+    theta = lam / (n * p_hat)
+    value = paley_zygmund_bound(raw, m2, theta)
+    return "certified", min(max(value, 0.0), 1.0), theta
+
+
 def connectivity_probability_bound(params: ModelParams, num_graphs: int) -> ProbBoundResult:
     """Lower bound on P[lambda_2(union) >= lambda_min], certified for
     num_graphs >= n_min only (otherwise an explicit below-threshold status).
@@ -212,37 +229,36 @@ def connectivity_probability_bound(params: ModelParams, num_graphs: int) -> Prob
     that event lies inside {connected}, which by Fiedler's theorem is
     {lambda_2 >= lambda_min} (see the module docstring).
     """
-    nm = n_min(params)
-    lam = line_graph_lambda_min(params.n)
-    if num_graphs < nm.rounded_up:
-        return ProbBoundResult(status="below_n_min", value=None,
-                               n_min_rounded=nm.rounded_up, theta=None, lambda_min=lam)
-    u = union_effective_params(params, num_graphs)
     n = params.n
-    mean_lb = _e_lambda2_lower_raw(n, u.p_hat, u.q_hat)
-    if mean_lb <= 0.0:
-        # p_hat below the (2n-4)/(3n-4) positivity threshold: nothing to certify
-        return ProbBoundResult(status="zero_lower_bound", value=0.0,
-                               n_min_rounded=nm.rounded_up, theta=None, lambda_min=lam)
-    theta = lam / (n * u.p_hat)
-    m2 = eigenvalue_moment(ModelParams(n, u.p_hat), 2)
-    value = paley_zygmund_bound(mean_lb, m2, theta)
-    return ProbBoundResult(status="certified", value=min(max(value, 0.0), 1.0),
-                           n_min_rounded=nm.rounded_up, theta=theta, lambda_min=lam)
+    lam = line_graph_lambda_min(n)
+    rounded = math.ceil(_n_min_real(n, params.p, lam))
+    if num_graphs < rounded:
+        return ProbBoundResult(status="below_n_min", value=None,
+                               n_min_rounded=rounded, theta=None, lambda_min=lam)
+    p_hat, q_hat = params.effective_probabilities(num_graphs)
+    raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
+    m2, _ = _square_moments(n, p_hat)
+    status, value, theta = _certified_bound(n, p_hat, lam, raw, m2)
+    return ProbBoundResult(status=status, value=value, n_min_rounded=rounded,
+                           theta=theta, lambda_min=lam)
 
 
 def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
-    """All analytic bounds for one configuration in a single record."""
-    u = union_effective_params(params, num_graphs)
-    e_lo, e_hi = expected_lambda2_bounds(u)
-    var = lambda2_variance_bounds(u)
-    lam = line_graph_lambda_min(params.n)
+    """All analytic bounds for one configuration in a single record: one pass
+    over the scalar helpers that the public functions wrap, each called once."""
+    n = params.n
+    p_hat, q_hat = params.effective_probabilities(num_graphs)
+    lam = line_graph_lambda_min(n)
+    raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
+    m2, var2 = _square_moments(n, p_hat)
+    var_lo, var_hi = _variance_bounds(n, p_hat, q_hat, raw, m2, var2)
+    theta = prob = None
     try:
-        pb = connectivity_probability_bound(params, num_graphs)
+        certifiable = num_graphs >= math.ceil(_n_min_real(n, params.p, lam))
     except InfeasibleError:  # n = 2: no union size has a bound
-        theta = prob = None
-    else:
-        theta, prob = pb.theta, pb.value
-    return BoundReport(e_lambda2_lower=e_lo, e_lambda2_upper=e_hi,
-                       var_lambda2_lower=var.lower, var_lambda2_upper=var.upper,
+        certifiable = False
+    if certifiable:
+        _, prob, theta = _certified_bound(n, p_hat, lam, raw, m2)
+    return BoundReport(e_lambda2_lower=max(raw, 0.0), e_lambda2_upper=n * p_hat,
+                       var_lambda2_lower=var_lo, var_lambda2_upper=var_hi,
                        lambda_min=lam, theta=theta, prob_lower=prob)

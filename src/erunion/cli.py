@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import __version__, tables
 from .bounds import (bound_report, connectivity_probability_bound,
-                     expected_lambda2_bounds, n_min, n_min_asymptotic,
-                     union_effective_params)
+                     expected_lambda2_bounds, lambda2_variance_bounds, n_min,
+                     n_min_asymptotic, union_effective_params)
 from .errors import CapabilityError, InfeasibleError, ValidationError
 from .graphs import ModelParams, sample_union, write_edgelist
 from .moments import eigenvalue_moment
@@ -162,6 +162,7 @@ def _cmd_oracle(args) -> int:
     max_rel = max(abs(report.eigenvalue_moments[k] - analytic[k]) / abs(analytic[k])
                   for k in (1, 2, 3, 4))
     e_lo, e_hi = expected_lambda2_bounds(u)
+    var = lambda2_variance_bounds(u)
     payload = {
         "n": args.n,
         "p": args.p,
@@ -171,6 +172,7 @@ def _cmd_oracle(args) -> int:
             "eigenvalue_moments": report.eigenvalue_moments,
             "expected_trace_lk": report.expected_trace_lk,
             "expected_lambda2": report.expected_lambda2,
+            "expected_lambda2_sq": report.expected_lambda2_sq,
             "prob_connected": report.prob_connected,
             "prob_lambda2_ge_lambda_min": report.prob_lambda2_ge_lambda_min,
             "weight_total": report.weight_total,
@@ -178,6 +180,7 @@ def _cmd_oracle(args) -> int:
         "analytic_moments": analytic,
         "max_rel_moment_error": max_rel,
         "expected_lambda2_bounds": {"lower": e_lo, "upper": e_hi},
+        "var_lambda2_bounds": {"lower": var.lower, "upper": var.upper},
     }
     _dump_json(payload)
     return EXIT_OK

@@ -7,24 +7,8 @@ n * c_k, while the structural zero eigenvalue contributes nothing.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .errors import ValidationError
 from .graphs import ModelParams
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First four eigenvalue moments and the derived variances for one (n, p)."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    var1: float      # Var of an eigenvalue: 2npq
-    var2: float      # Var of a squared eigenvalue: m4 - m2^2
-    sigma2: float    # sqrt(var2)
 
 
 def _coefficient(n: int, p: float, k: int) -> float:
@@ -48,14 +32,11 @@ def eigenvalue_moment(params: ModelParams, k: int) -> float:
     return params.n * _coefficient(params.n, params.p, k)
 
 
-def eigenvalue_variances(params: ModelParams) -> MomentSet:
-    """All four moments plus Var of an eigenvalue (2npq) and of its square.
+def _square_moments(n: int, p: float) -> tuple[float, float]:
+    """(m2, var2): mean and variance of a squared eigenvalue of G(n, p).
 
     var2 = m4 - m2^2 is evaluated as n p q (8 + (n-2) p (21 + (8n-21) p)), a
     sum of nonnegative terms for n >= 2, so rounding cannot make it negative.
     """
-    n, p, q = params.n, params.p, params.q
-    m = [eigenvalue_moment(params, k) for k in (1, 2, 3, 4)]
-    var2 = n * p * q * (8.0 + (n - 2) * p * (21.0 + (8 * n - 21) * p))
-    return MomentSet(m1=m[0], m2=m[1], m3=m[2], m4=m[3],
-                     var1=2.0 * n * p * q, var2=var2, sigma2=math.sqrt(var2))
+    var2 = n * p * (1.0 - p) * (8.0 + (n - 2) * p * (21.0 + (8 * n - 21) * p))
+    return n * _coefficient(n, p, 2), var2

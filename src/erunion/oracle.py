@@ -26,7 +26,8 @@ from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
 from .spectral import EPS_ZERO
 
 ORACLE_N_CAP = 6
-_SLICE_GRAPHS = 1 << 12  # graphs built and solved at once: 1.2 MB of Laplacians at n = 6
+_SLICE_GRAPHS = 1 << 10  # graphs built and solved at once: 0.3 MB of Laplacians at n = 6
+_EDGE_COUNTS = np.arange(ORACLE_N_CAP * (ORACLE_N_CAP - 1) // 2 + 1)  # 0..M for every n <= cap
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,9 @@ def enumerate_exact(params: ModelParams) -> ExactReport:
     if n > ORACLE_N_CAP:
         raise CapabilityError(
             f"exact enumeration is capped at n = {ORACLE_N_CAP}, got n = {n}")
-    m = np.arange(params.num_pairs + 1)
-    total, *traces, lambda2, lambda2_sq, connected = (
-        _structure(n) @ (params.p ** m * params.q ** (params.num_pairs - m))).tolist()
+    pairs = params.num_pairs
+    weights = params.p ** _EDGE_COUNTS[:pairs + 1] * params.q ** _EDGE_COUNTS[pairs::-1]
+    total, *traces, lambda2, lambda2_sq, connected = (_structure(n) @ weights).tolist()
     return ExactReport(
         n=n,
         p=params.p,

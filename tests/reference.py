@@ -1,18 +1,21 @@
 """Reference implementations that the tests compare the package against.
 
-None of these is on a path the command line runs. The Laplacian, BFS and
-edge-list parser are written apart from the package's code, so a test that
-compares the two checks both; the rest are plain helpers.
+None of these is on a path the command line runs. The Laplacian, BFS,
+edge-list parser and order-statistic bounds are written apart from the
+package's code, so a test that compares the two checks both; the rest are
+plain helpers.
 """
 import math
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from erunion import GraphSample, ValidationError, rng
+from erunion import GraphSample, ModelParams, ValidationError, eigenvalue_moment, rng
+from erunion.moments import _square_moments
 
 
 @lru_cache(maxsize=64)
@@ -178,3 +181,42 @@ def structured_matrix_eigs(alpha: float, beta: float, n: int) -> tuple[float, fl
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     return alpha + (n - 1) * beta, alpha - beta
+
+
+def order_stat_expectation_bounds(mu: float, sigma: float, m: int,
+                                  k: int) -> tuple[float, float]:
+    """Mean bounds for the k-th order statistic of m variables with common
+    mean mu and variance sigma^2:
+
+        mu - sigma*sqrt((m-k)/k)  <=  E[X_(k)]  <=  mu + sigma*sqrt((k-1)/(m-k+1))
+    """
+    if sigma < 0.0:
+        raise ValidationError(f"sigma must be nonnegative, got {sigma!r}")
+    if not (isinstance(m, int) and isinstance(k, int) and 1 <= k <= m):
+        raise ValidationError(f"need integers 1 <= k <= m, got k={k!r}, m={m!r}")
+    lower = mu - sigma * math.sqrt((m - k) / k)
+    upper = mu + sigma * math.sqrt((k - 1) / (m - k + 1))
+    return lower, upper
+
+
+@dataclass(frozen=True)
+class MomentSet:
+    """First four eigenvalue moments and the derived variances for one (n, p)."""
+
+    m1: float
+    m2: float
+    m3: float
+    m4: float
+    var1: float      # Var of an eigenvalue: 2npq
+    var2: float      # Var of a squared eigenvalue: m4 - m2^2
+    sigma2: float    # sqrt(var2)
+
+
+def eigenvalue_variances(params: ModelParams) -> MomentSet:
+    """The package's four closed-form moments, Var of an eigenvalue (2npq), and
+    the package's var2 = m4 - m2^2 (:func:`erunion.moments._square_moments`)."""
+    n, p, q = params.n, params.p, params.q
+    m = [eigenvalue_moment(params, k) for k in (1, 2, 3, 4)]
+    _, var2 = _square_moments(n, p)
+    return MomentSet(m1=m[0], m2=m[1], m3=m[2], m4=m[3],
+                     var1=2.0 * n * p * q, var2=var2, sigma2=math.sqrt(var2))

@@ -55,18 +55,27 @@ def test_ac01_table1_exact_reproduction(capsys):
     assert out == fixture
 
 
-def test_ac02_table2_probability_bounds():
+def _assert_cli_table_matches_fixture(which, capsys):
+    from erunion.cli import main
+    assert main(["tables", str(which)]) == 0
+    fixture = (Path(__file__).parent / "data" / f"table{which}.csv").read_text()
+    assert capsys.readouterr().out == fixture
+
+
+def test_ac02_table2_probability_bounds(capsys):
     rows = table2()
     for (p, value), want in zip(rows, EXPECTED_TABLE2):
         assert abs(round(value, 3) - want) <= 0.001, f"p={p}: {value}"
+    _assert_cli_table_matches_fixture(2, capsys)
 
 
-def test_ac03_table3_probability_bounds():
+def test_ac03_table3_probability_bounds(capsys):
     rows = table3()
     for (num, value), want in zip(rows, EXPECTED_TABLE3):
         assert abs(round(value, 3) - want) <= 0.001, f"N={num}: {value}"
     deep = connectivity_probability_bound(ModelParams(50, 0.1), 250)
     assert deep.value >= 0.9998
+    _assert_cli_table_matches_fixture(3, capsys)
 
 
 def test_ac04_asymptote_agreement():

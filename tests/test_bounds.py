@@ -1,4 +1,5 @@
 """Union equivalence, order-statistic bounds, n_min, and the probability bound."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from erunion import (InfeasibleError, ModelParams, ValidationError,
                      bound_report, connectivity_probability_bound,
                      exact_union_report, expected_lambda2_bounds,
                      lambda2_variance_bounds, line_graph_lambda_min, n_min,
-                     n_min_asymptotic, order_stat_expectation_bounds,
-                     paley_zygmund_bound, union_effective_params)
+                     n_min_asymptotic, paley_zygmund_bound,
+                     union_effective_params)
 from erunion.bounds import _nmin_log_argument
+from reference import order_stat_expectation_bounds
 
 
 class TestUnionEffectiveParams:
@@ -118,6 +120,16 @@ class TestExpectedLambda2Bounds:
         u = union_effective_params(ModelParams(10, 0.6), 1)
         assert expected_lambda2_bounds(u)[0] == 0.0
 
+    @pytest.mark.parametrize("n,p,num", [(2, 0.3, 1), (3, 0.9, 2), (10, 0.7, 1), (50, 0.1, 50),
+                                         (10**5, 1e-5, 200000)])
+    def test_lower_is_the_first_order_statistic_bound(self, n, p, num):
+        # the mean-variance bound on the least of the n-1 nonzero-indexed
+        # eigenvalues, each with mean n p_hat and variance 2 n p_hat q_hat
+        u = union_effective_params(ModelParams(n, p), num)
+        sigma = math.sqrt(2.0 * n * u.p_hat * u.q_hat)
+        lower, _ = order_stat_expectation_bounds(n * u.p_hat, sigma, n - 1, 1)
+        assert expected_lambda2_bounds(u)[0] == max(lower, 0.0)
+
 
 class TestVarianceBounds:
     def test_upper_vanishes_in_dense_limit(self):
@@ -152,6 +164,84 @@ class TestVarianceBounds:
         # at (0.96, 10), q_hat ~ 1e-14 and m2 - (2 p_hat)^2 was off by 0.5 %
         u = union_effective_params(ModelParams(2, p), num)
         assert lambda2_variance_bounds(u).lower == 4.0 * u.p_hat * u.q_hat
+
+    def test_lower_at_most_upper_on_small_n_grid(self):
+        # the upper bound is a sum of nonnegative terms; m2 - raw^2 rounded
+        # below the lower bound at n = 2, where the two bounds coincide
+        for n in range(2, 7):
+            for p in [k / 50 for k in range(1, 50)] + [1e-6, 1e-3, 0.999]:
+                for num in (1, 2, 3, 5, 10, 20):
+                    try:
+                        u = union_effective_params(ModelParams(n, p), num)
+                    except ValidationError:  # p_hat rounds to 1
+                        continue
+                    vb = lambda2_variance_bounds(u)
+                    assert vb.lower <= vb.upper, (n, p, num)
+                    if n == 2:
+                        assert vb.lower == vb.upper, (n, p, num)
+
+    @pytest.mark.parametrize("n,p,num", [
+        (2, 0.5, 3), (3, 0.5, 1), (10, 0.7, 1), (10, 1.0 - 1e-13, 1), (50, 0.1, 50),
+        (1000, 0.001, 2000), (10**5, 1e-5, 200000)])
+    def test_upper_matches_extended_precision(self, n, p, num):
+        import mpmath as mp
+        with mp.workdps(60):
+            p_hat = 1 - (1 - mp.mpf(p)) ** num
+            raw = n * p_hat - mp.sqrt(2 * n * (n - 2) * p_hat * (1 - p_hat))
+            want = n * ((n - 2) * p_hat + 2) * p_hat - max(raw, 0) ** 2
+            got = lambda2_variance_bounds(union_effective_params(ModelParams(n, p), num)).upper
+            assert abs(got - want) <= 1e-14 * want
+
+
+class TestBoundReportSinglePass:
+    """bound_report computes in one pass what the public wrappers compute apart."""
+
+    @staticmethod
+    def _from_wrappers(params, num):
+        u = union_effective_params(params, num)
+        e_lo, e_hi = expected_lambda2_bounds(u)
+        vb = lambda2_variance_bounds(u)
+        lam = line_graph_lambda_min(params.n)
+        try:
+            pb = connectivity_probability_bound(params, num)
+        except InfeasibleError:
+            status, theta, prob = "infeasible", None, None
+        else:
+            assert pb.lambda_min == lam
+            status, theta, prob = pb.status, pb.theta, pb.value
+        return status, {"e_lambda2_lower": e_lo, "e_lambda2_upper": e_hi,
+                        "var_lambda2_lower": vb.lower, "var_lambda2_upper": vb.upper,
+                        "lambda_min": lam, "theta": theta, "prob_lower": prob}
+
+    def test_fields_equal_the_wrappers(self):
+        statuses = set()
+        for n in (2, 3, 4, 6, 10, 50, 1000):
+            for p in (1e-5, 0.01, 0.1, 0.5, 0.9):
+                params = ModelParams(n, p)
+                for num in (1, 2, 5, 11, 12, 50, 125, 2000):
+                    try:
+                        status, want = self._from_wrappers(params, num)
+                    except ValidationError:
+                        with pytest.raises(ValidationError):
+                            bound_report(params, num)
+                        continue
+                    assert dataclasses.asdict(bound_report(params, num)) == want, (n, p, num)
+                    statuses.add(status)
+        assert statuses == {"infeasible", "below_n_min", "certified"}
+
+    def test_zero_lower_bound_case_equals_the_wrappers(self, monkeypatch):
+        from erunion import bounds
+        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
+        params = ModelParams(50, 0.1)
+        status, want = self._from_wrappers(params, 50)
+        assert status == "zero_lower_bound"
+        assert dataclasses.asdict(bound_report(params, 50)) == want
+
+    def test_overflowing_n_min_is_rejected_by_both(self):
+        params = ModelParams(10, 1e-310)
+        for call in (bound_report, connectivity_probability_bound):
+            with pytest.raises(ValidationError):
+                call(params, 5)
 
 
 class TestExactSoundnessGrid:
@@ -219,7 +309,7 @@ class TestNmin:
             assert lower >= line_graph_lambda_min(n) - 1e-9
             if res.rounded_up > res.exact_real:
                 q_prev = math.exp((res.rounded_up - 1) * math.log1p(-p))
-                assert q_prev > _nmin_log_argument(n)
+                assert q_prev > _nmin_log_argument(n, line_graph_lambda_min(n))
 
 
 class TestNminAsymptotic:

@@ -255,8 +255,20 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--p", "0.83", "--N", "20")
         assert code == 0
         rep = bound_report(ModelParams(6, 0.83), 20)
-        assert json.loads(out)["expected_lambda2_bounds"] == {
+        payload = json.loads(out)
+        assert payload["expected_lambda2_bounds"] == {
             "lower": rep.e_lambda2_lower, "upper": rep.e_lambda2_upper}
+        assert payload["var_lambda2_bounds"] == {
+            "lower": rep.var_lambda2_lower, "upper": rep.var_lambda2_upper}
+
+    @pytest.mark.parametrize("n,p,num", [(2, 0.3, 1), (3, 0.5, 2), (6, 0.83, 20)])
+    def test_exact_variance_within_bounds(self, capsys, n, p, num):
+        code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", str(p), "--N", str(num))
+        payload = json.loads(out)
+        exact = payload["exact"]
+        var = exact["expected_lambda2_sq"] - exact["expected_lambda2"] ** 2
+        bounds = payload["var_lambda2_bounds"]
+        assert bounds["lower"] - 1e-12 <= var <= bounds["upper"] + 1e-12
 
     def test_capability_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "7", "--p", "0.5")

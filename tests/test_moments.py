@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from erunion import (ModelParams, ValidationError, eigenvalue_moment,
-                     eigenvalue_variances, enumerate_exact)
+from erunion import ModelParams, ValidationError, eigenvalue_moment, enumerate_exact
 from erunion.moments import _coefficient
-from reference import edge_masks, structured_matrix_eigs
+from reference import edge_masks, eigenvalue_variances, structured_matrix_eigs
 
 
 def enumerate_moment_matrix(n, p, k):
