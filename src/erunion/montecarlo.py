@@ -28,14 +28,23 @@ Gc, which is small for the near-complete unions of the paper's certified
 regime. Laplacians of complementary graphs sum to nI - J, so on the vectors
 orthogonal to the all-ones vector the spectrum of L(G) is n minus that of
 L(Gc), and lambda_2(G) = n - lambda_max(L(Gc)). L(Gc) is zero on every node
-of degree n - 1 in G, so lambda_max(L(Gc)) is the largest eigenvalue of
-L(Gc) restricted to S, the nodes Gc touches: a matrix of |S| <= n - 1 rows
-instead of n, and of none for the complete graph, whose lambda_2 is n. The
-one Laplacian builder (:func:`erunion.graphs.laplacians_from_pairs`) makes
-every matrix from the sampled pairs, with no edge mask: a union solved in
-full from its pairs, and L(Gc) on S from the pairs among S, each node
-numbered by its rank in S, so only unions solved in full get n x n
-Laplacians. A union solved through Gc has lambda_2 >= 1, as
+of degree n - 1 in G and block diagonal over the components of Gc, so
+lambda_max(L(Gc)) is the largest eigenvalue of L(Gc) restricted to S: the
+nodes Gc touches, less those of its isolated edges (two nodes that miss
+each other and nothing else). An isolated edge's block has eigenvalues
+{0, 2}, and a component of 3 or more nodes has a node of degree d >= 2,
+hence lambda_max >= d + 1 >= 3 (Grone-Merris), so S leaves out every
+isolated edge when Gc has such a component, and all but the one at its
+lowest node when Gc is a matching; every value still comes from a solve.
+S has |S| <= n - 1 rows instead of n, about 4 on average at
+(n, p, N) = (50, 0.1, 50) against about 11 for every node Gc touches, and
+none for the complete graph, whose lambda_2 is n. The one Laplacian
+builder (:func:`erunion.graphs.laplacians_from_pairs`) makes every matrix
+from the sampled pairs, with no edge mask: a union solved in full from its
+pairs, and L(Gc) on S from the pairs among S, each node numbered by its
+rank in S, so only unions solved in full get n x n Laplacians. The
+complement Laplacians are stacked in order of |S|, and each |S| is solved
+as one slice of the stack. A union solved through Gc has lambda_2 >= 1, as
 lambda_max(L(Gc)) <= |S|, so the connectivity count is that of the full
 solve, and n - lambda_max does not cancel; the lambda_2 mean, variance and
 their half-widths may move in their low digits (about 1e-14 relative), and
@@ -217,16 +226,44 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
         lap = laplacians_from_pairs(batch, a[index], b[index], present, len(at), n)
         lambda2s[at] = eigenvalue_at(lap, 2)
     rows = np.flatnonzero(universal)
-    # S, the nodes the complement touches, numbered in ascending order
-    in_s = universal[:, None] & (degrees < n - 1)
+    lambda2s[rows] = n
+    if not rows.size:
+        return lambda2s
+    # each node's missing neighbours; for a node with one, that neighbour is
+    # the other end of its one listed pair when the missing pairs are listed,
+    # and the one node its listed pairs leave out when the present ones are
+    missing = n - 1 - degrees
+    one = missing == 1
+    row = trial * n
+    ends = (np.bincount(row + a, weights=b, minlength=unions * n)
+            + np.bincount(row + b, weights=a, minlength=unions * n)).reshape(-1, n)
+    nodes = np.arange(n)
+    if present:
+        ends = n * (n - 1) // 2 - nodes - ends
+    partner = np.where(one, ends, 0).astype(np.int64)
+    row_start = np.arange(0, unions * n, n)[:, None]
+    isolated = one & (missing.reshape(-1)[row_start + partner] == 1)
+    # an isolated complement edge has eigenvalues {0, 2}, below the lambda_max
+    # >= 3 of any component of 3 or more nodes, so S keeps none of them, or
+    # when the complement is a matching, the one at its lowest node
+    matching = (missing < 2).all(axis=1)
+    lowest = np.argmax(missing > 0, axis=1)
+    kept = matching[:, None] & (np.minimum(nodes, partner) == lowest[:, None])
+    # S, the nodes left, numbered in ascending order
+    in_s = universal[:, None] & (missing > 0) & ~(isolated & ~kept)
     rank = np.cumsum(in_s, axis=1) - 1
     sizes = rank[rows, -1] + 1
-    size_max = sizes.max(initial=0)
+    # the unions by |S|, so that each |S| is one slice of the stack
+    order = np.argsort(sizes, kind="stable")
+    rows, sizes = rows[order], sizes[order]
+    size_max = sizes[-1]
+    position = np.empty(unions, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
     # the listed pairs among S, by rank, are in the other state in the
     # complement; a pair with a node of degree n - 1 is present in the union
     k = in_s[trial, a] & in_s[trial, b]
     t = trial[k]
-    batch, u, v = np.cumsum(universal)[t] - 1, rank[t, a[k]], rank[t, b[k]]
+    batch, u, v = position[t], rank[t, a[k]], rank[t, b[k]]
     sub = laplacians_from_pairs(batch, u, v, not present, len(rows), size_max)
     if present:
         # the builder took each pair past a union's |S| as present in Gc; off
@@ -234,13 +271,13 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
         sub.reshape(len(rows), size_max**2)[:, ::size_max + 1] -= (size_max - sizes)[:, None]
     # the builder's -0.0 of a missing pair becomes the +0.0 of (nI - J - L)[S, S]
     sub += 0.0
-    # a complete union (|S| = 0) has lambda_2 = n; each |S| is its own batch so
-    # that no union's submatrix is padded by its batch-mates' (a set, as the
-    # first np.unique call in a process imports numpy.ma: ~40 ms and ~1 MB)
-    lambda2s[rows] = n
-    for size in set(sizes.tolist()) - {0}:
-        at = sizes == size
-        lambda2s[rows[at]] = n - eigenvalue_at(sub[at, :size, :size], size)
+    # each |S| is its own batch, so that no union's submatrix is padded by its
+    # batch-mates'; a complete union (|S| = 0) keeps lambda_2 = n
+    bounds = np.searchsorted(sizes, np.arange(size_max + 2)).tolist()
+    for size in range(1, size_max + 1):
+        lo, hi = bounds[size], bounds[size + 1]
+        if lo < hi:
+            lambda2s[rows[lo:hi]] = n - eigenvalue_at(sub[lo:hi, :size, :size], size)
     return lambda2s
 
 

@@ -38,7 +38,9 @@ EPS_ZERO = 1e-8
 SPECTRAL_N_CEILING = 2000
 
 # matrices of at least this many rows are solved for one eigenvalue by
-# dsyevr; below it batched eigvalsh is faster (crossover near n = 50)
+# dsyevr, and smaller ones by batched eigvalsh; measured per matrix at
+# p = 0.25 and 0.75, dsyevr is the faster from about n = 36 (ROADMAP,
+# Baseline), and the cutoff stays at 56 until ROADMAP item 9 moves it
 DSYEVR_MIN_N = 56
 
 # (get, set) thread-count entry points: plain OpenBLAS, then the 64-bit

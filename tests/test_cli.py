@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from erunion import ModelParams, bound_report
+from erunion import ModelParams, bound_report, montecarlo
 from erunion.cli import build_parser, main
 from reference import lambda2, laplacian, read_edgelist
 
@@ -190,6 +190,18 @@ class TestMc:
         _, out1, _ = run_cli(capsys, *args, "--workers", "1")
         _, out4, _ = run_cli(capsys, *args, "--workers", "4")
         assert out1 == out4
+
+    def test_identical_json_across_worker_counts_near_complete(self, capsys, monkeypatch):
+        # the certified regime, p_hat = 0.995: three chunks of up to 213
+        # trials on two threads, almost every union solved through its complement
+        p_hat, _ = ModelParams(50, 0.1).effective_probabilities(50)
+        assert montecarlo._chunk_trials(50, p_hat, 500) == 213
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        args = ["mc", "--n", "50", "--p", "0.1", "--N", "50",
+                "--trials", "500", "--seed", "42"]
+        _, out1, _ = run_cli(capsys, *args, "--workers", "1")
+        _, out2, _ = run_cli(capsys, *args, "--workers", "2")
+        assert out1 == out2
 
     def test_single_trial_report(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "--n", "6", "--p", "0.5", "--N", "1",

@@ -401,6 +401,19 @@ class TestOneBlasThreadInPool:
         assert seen and seen == [(True, 2)] * len(seen)
 
 
+def _record_seam(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """(stack shape, k) of each eigenvalue_at call of montecarlo from now on."""
+    calls = []
+    seam = montecarlo.eigenvalue_at
+
+    def recording(stack, k):
+        calls.append((stack.shape, k))
+        return seam(stack, k)
+
+    monkeypatch.setattr(montecarlo, "eigenvalue_at", recording)
+    return calls
+
+
 class TestAboveTheCutoff:
     @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS)
     def test_worker_count_does_not_change_results(self, monkeypatch, blas_get_at_two_threads,
@@ -435,29 +448,17 @@ class TestAboveTheCutoff:
         assert montecarlo._slice_matrices(400) == 1
         assert montecarlo._slice_matrices(DSYEVR_MIN_N - 1) == 2**16 // (DSYEVR_MIN_N - 1)**2
 
-    @staticmethod
-    def _record_seam(monkeypatch, n) -> list[int]:
-        """Number of n x n matrices in each eigenvalue_at call from now on."""
-        stacks = []
-        seam = montecarlo.eigenvalue_at
-
-        def recording(stack, k):
-            if stack.shape[-1] == n:
-                stacks.append(len(stack))
-            return seam(stack, k)
-
-        monkeypatch.setattr(montecarlo, "eigenvalue_at", recording)
-        return stacks
-
     @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS[:2])
     def test_slices_of_one_match(self, monkeypatch, cfg):
         n = cfg.params.n
-        stacks = self._record_seam(monkeypatch, n)
+        calls = _record_seam(monkeypatch)
         base = run_mc(cfg)
+        stacks = [shape[0] for shape, k in calls if shape[-1] == n]
         assert max(stacks) == montecarlo._slice_matrices(n) > 1
-        stacks.clear()
+        calls.clear()
         monkeypatch.setattr(montecarlo, "_slice_matrices", lambda n: 1)
         assert run_mc(cfg) == base
+        stacks = [shape[0] for shape, k in calls if shape[-1] == n]
         assert stacks and set(stacks) == {1}
 
     def test_full_solve_is_the_reference_laplacian_bit_for_bit(self):
@@ -541,15 +542,29 @@ def _lambda2s(masks, degrees, present=True):
 
 def _solve_atol(mask, n):
     """Tolerance on the lambda_2 of a union: 16 eps ||M|| for the matrix M it is
-    solved on, where ||M|| <= 2 rows. M is the complement's Laplacian on the
-    nodes it touches when some node has degree n - 1, else the n x n
-    Laplacian; LAPACK's eigenvalue error is a small multiple of eps ||M||
+    solved on, where ||M|| <= 2 rows. M is the complement's Laplacian on S
+    when some node has degree n - 1, taken here on every node the complement
+    touches, which bounds it whichever isolated edges S leaves out, else the
+    n x n Laplacian; LAPACK's eigenvalue error is a small multiple of eps ||M||
     (4.5e-13 for the 200-node star, solved on 199 rows)."""
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[pair_arrays(n)] = mask
     degrees = (adj + adj.T).sum(axis=1)
     rows = np.count_nonzero(degrees < n - 1) if (degrees == n - 1).any() else n
     return 16 * np.finfo(float).eps * 2 * max(rows, 1)
+
+
+def _reduced_s(comp):
+    """S of a complement solve, from the complement's Laplacian: the nodes the
+    complement touches, less those of its isolated edges; when the complement
+    is a matching, the edge at its lowest node stays."""
+    degree = np.diag(comp)
+    s = np.flatnonzero(degree > 0).tolist()
+    partner = {x: int(np.flatnonzero(comp[x] < 0)[0]) for x in s if degree[x] == 1}
+    isolated = {x for x, y in partner.items() if degree[y] == 1}
+    if s and degree.max() == 1:
+        isolated -= {s[0], partner[s[0]]}
+    return [x for x in s if x not in isolated]
 
 
 CLOSED_FORM_NS = [3, 4, 5, 12, 50, 51, 200]
@@ -614,6 +629,40 @@ class TestComplementReduction:
         alone = np.concatenate([_lambda2s(m[None, :], _degrees(m[None, :], n))
                                 for m in masks])
         assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("family, rows", [("matching", 2), ("path", 3), ("star", 4)])
+    @pytest.mark.parametrize("n", [12, 50, 51, 200])
+    def test_isolated_complement_edges_are_left_out(self, monkeypatch, family, rows, n):
+        # K_n minus a subgraph whose isolated edges cannot hold lambda_max:
+        # a matching, which keeps one edge, P_3 beside disjoint edges, and
+        # K_{1,3} beside two; the last node keeps degree n - 1
+        if family == "matching":
+            removed = [(2 * v, 2 * v + 1) for v in range((n - 1) // 2)]
+            want = n - 2.0
+        elif family == "path":
+            removed = [(0, 1), (1, 2)] + [(2 * v + 3, 2 * v + 4) for v in range((n - 4) // 2)]
+            want = n - 3.0
+        else:
+            removed = [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7)]
+            want = n - 4.0
+        mask = _complete_minus(n, removed)
+        calls = _record_seam(monkeypatch)
+        got = _assert_closed_forms([mask], [want], n)
+        # one solve per state, on the component that holds lambda_max alone
+        assert calls == [((1, rows, rows), rows)] * 2
+        assert got.tolist() == [want]
+
+    def test_rows_per_solve_at_the_certified_regime(self, monkeypatch):
+        # p_hat = 0.995: a union misses about 6 pairs, most of them isolated
+        # edges of its complement; solved on every node the complement
+        # touches, a union would take about 11 rows, and it takes about 4
+        cfg = McConfig(ModelParams(50, 0.1), num_graphs=50, trials=136, master_seed=1)
+        calls = _record_seam(monkeypatch)
+        run_mc(cfg)
+        solves = [shape for shape, k in calls if shape[-1] < cfg.params.n]
+        unions = sum(shape[0] for shape in solves)
+        assert unions >= cfg.trials * 0.9
+        assert sum(shape[0] * shape[-1] for shape in solves) / unions <= 5
 
 
 class TestComplementShortcut:
@@ -704,12 +753,22 @@ class TestDegreeFirstSolve:
         degrees = _degrees(masks, n)
         got = [_lambda2s(masks, degrees, present) for present in (True, False)]
 
+        reduced = 0
         for mask, lap, *values in zip(masks, _reference_laplacians(masks, n), *got):
-            s = np.flatnonzero(np.diag(lap) < n - 1)
-            sub = (n * np.eye(n) - np.ones((n, n)) - lap)[s][:, s]
-            want = n - np.linalg.eigvalsh(sub)[-1] if s.size else float(n)
+            comp = n * np.eye(n) - np.ones((n, n)) - lap
+            s = _reduced_s(comp)
+            want = n - np.linalg.eigvalsh(comp[s][:, s])[-1] if s else float(n)
             assert values == [want, want]
+            # the S of every node the complement touches gives the same value
+            # within the solver's tolerance
+            s_full = np.flatnonzero(np.diag(comp) > 0)
+            reduced += len(s) < len(s_full)
+            if s_full.size:
+                old = n - np.linalg.eigvalsh(comp[s_full][:, s_full])[-1]
+                assert values[0] == pytest.approx(old, abs=_solve_atol(mask, n))
         assert len(masks) >= 50
+        if p_hat > 0.8:  # 20 of the 447 unions at p_hat = 0.875 leave out an edge
+            assert reduced > 0
 
     def test_complement_solve_peak_memory(self):
         # one chunk of (30, 0.5, 4): p_hat = 0.9375, and almost every union
