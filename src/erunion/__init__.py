@@ -8,9 +8,8 @@ connectivity, validated against Monte-Carlo sampling and exact enumeration.
 
 __version__ = "0.1.0"
 
-from .bounds import (bound_report, connectivity_probability_bound,
-                     expected_lambda2_bounds, lambda2_variance_bounds, n_min,
-                     n_min_asymptotic, paley_zygmund_bound, union_effective_params)
+from .bounds import (bound_report, n_min, n_min_asymptotic, paley_zygmund_bound,
+                     union_effective_params)
 from .errors import (CapabilityError, ErUnionError, InfeasibleError,
                      ValidationError)
 from .graphs import (GraphSample, ModelParams, sample_graph, sample_union,
@@ -22,9 +21,8 @@ from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, line_graph_lambda_min
 
 __all__ = [
     "__version__",
-    "bound_report", "connectivity_probability_bound", "expected_lambda2_bounds",
-    "lambda2_variance_bounds", "n_min", "n_min_asymptotic",
-    "paley_zygmund_bound", "union_effective_params",
+    "bound_report", "n_min", "n_min_asymptotic", "paley_zygmund_bound",
+    "union_effective_params",
     "CapabilityError", "ErUnionError", "InfeasibleError", "ValidationError",
     "GraphSample", "ModelParams", "sample_graph", "sample_union", "write_edgelist",
     "eigenvalue_moment",

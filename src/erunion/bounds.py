@@ -9,8 +9,8 @@ criterion meets the line-graph floor, and a Paley-Zygmund lower bound on
 P[lambda_2 >= lambda_min].
 
 Why the probability bound is sound. Paley-Zygmund bounds P[lambda_2 >
-theta E[lambda_2]] from below, and :func:`connectivity_probability_bound`
-takes theta = lambda_min / (n p_hat). Since theta E[lambda_2] <= lambda_min,
+theta E[lambda_2]] from below, and :func:`bound_report` takes
+theta = lambda_min / (n p_hat). Since theta E[lambda_2] <= lambda_min,
 that event contains {lambda_2 >= lambda_min} rather than being contained in
 it, so Paley-Zygmund alone bounds the wrong event. The bound is sound only
 because no graph has lambda_2 in (0, lambda_min):
@@ -33,7 +33,7 @@ raw E[lambda_2] lower bound is positive (s = sqrt(2n(n-2) p_hat q_hat) =
 n p_hat - raw) and as m2 otherwise, and lambda_min as 2 sin^2(pi/n) /
 (1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is then 0 for every
 n >= 3 and 4 p_hat q_hat at n = 2, equal to the upper bound there (proof in
-:func:`lambda2_variance_bounds`).
+:func:`_variance_bounds`).
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ from .errors import InfeasibleError, ValidationError
 from .graphs import ModelParams
 from .moments import _square_moments
 from .spectral import line_graph_lambda_min
+
+INFEASIBLE_N2 = ("n = 2: expected connectivity cannot reach the line-graph "
+                 "floor for any union size")
 
 
 @dataclass(frozen=True)
@@ -65,25 +68,14 @@ class NminResult:
 
 
 @dataclass(frozen=True)
-class VarianceBounds:
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class ProbBoundResult:
-    """Outcome of the probability lower bound; value is None unless certified."""
-
-    status: str              # "certified" | "below_n_min" | "zero_lower_bound"
-    value: float | None
-    n_min_rounded: int
-    theta: float | None
-    lambda_min: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Analytic bounds for one (params, num_graphs) configuration."""
+    """Analytic bounds for one (params, num_graphs) configuration.
+
+    prob_status says what prob_lower is: "certified" (a value in [0, 1]),
+    "below_n_min" (num_graphs < n_min; None), "zero_lower_bound" (the
+    E[lambda_2] lower bound is not positive; 0.0) or "infeasible" (n = 2, where
+    no union size reaches the floor; None, and n_min is None too).
+    """
 
     e_lambda2_lower: float
     e_lambda2_upper: float
@@ -92,6 +84,8 @@ class BoundReport:
     lambda_min: float
     theta: float | None
     prob_lower: float | None
+    prob_status: str
+    n_min: int | None
 
 
 def union_effective_params(params: ModelParams, num_graphs: int) -> UnionParams:
@@ -113,7 +107,16 @@ def _e_lambda2_lower_raw(n: int, p_hat: float, q_hat: float) -> float:
 
 def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float, m2: float,
                      var2: float) -> tuple[float, float]:
-    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and (m2, var2) at p_hat."""
+    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and (m2, var2) at p_hat.
+
+    The paper's lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
+    m2 - (n p_hat)^2 = 2 n p_hat q_hat. With sigma2^2 = var2 = n p_hat q_hat
+    (8 + (n-2) p_hat (21 + (8n-21) p_hat)) it is negative exactly when
+    4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
+    For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
+    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat,
+    and so is the upper bound.
+    """
     var1 = 2.0 * n * p_hat * q_hat  # m2 - (n p_hat)^2
     lower = max(var1 - math.sqrt(var2) * math.sqrt(n - 2), 0.0)
     # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw, 0)^2; with s = n p_hat - raw,
@@ -121,30 +124,6 @@ def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float, m2: float,
     if raw <= 0.0:
         return lower, m2
     return lower, var1 + _e_lambda2_spread(n, p_hat, q_hat) * (n * p_hat + raw)
-
-
-def expected_lambda2_bounds(u: UnionParams) -> tuple[float, float]:
-    """Bounds on E[lambda_2] of the union: (max{n p_hat - sqrt(2n(n-2) p_hat q_hat), 0}, n p_hat)."""
-    n = u.base.n
-    lower = _e_lambda2_lower_raw(n, u.p_hat, u.q_hat)
-    return max(lower, 0.0), n * u.p_hat
-
-
-def lambda2_variance_bounds(u: UnionParams) -> VarianceBounds:
-    """Bounds on Var[lambda_2] of the union from the second-moment sandwich.
-
-    The paper's lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
-    m2 - (n p_hat)^2 = 2 n p_hat q_hat. With sigma2^2 = n p_hat q_hat
-    (8 + (n-2) p_hat (21 + (8n-21) p_hat)) it is negative exactly when
-    4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
-    For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
-    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat,
-    and so is the upper bound.
-    """
-    n = u.base.n
-    raw = _e_lambda2_lower_raw(n, u.p_hat, u.q_hat)
-    lower, upper = _variance_bounds(n, u.p_hat, u.q_hat, raw, *_square_moments(n, u.p_hat))
-    return VarianceBounds(lower=lower, upper=upper)
 
 
 def _nmin_log_argument(n: int, lam: float) -> float:
@@ -173,8 +152,7 @@ def _require_finite_union_size(value: float, p: float) -> None:
 def _n_min_real(n: int, p: float, lam: float) -> float:
     if n == 2:
         # the variance term vanishes and the criterion needs p_hat = 1
-        raise InfeasibleError("n = 2: expected connectivity cannot reach the "
-                              "line-graph floor for any union size")
+        raise InfeasibleError(INFEASIBLE_N2)
     exact = math.log(_nmin_log_argument(n, lam)) / math.log1p(-p)
     _require_finite_union_size(exact, p)
     return exact
@@ -208,57 +186,37 @@ def paley_zygmund_bound(mean_lb: float, second_moment_ub: float, theta: float) -
     return (1.0 - theta) ** 2 * mean_lb * mean_lb / second_moment_ub
 
 
-def _certified_bound(n: int, p_hat: float, lam: float, raw: float,
-                     m2: float) -> tuple[str, float, float | None]:
-    """(status, value, theta) of the probability bound for a union of at
-    least n_min graphs, from the raw E[lambda_2] lower bound and m2 at p_hat."""
-    if raw <= 0.0:
-        # p_hat below the (2n-4)/(3n-4) positivity threshold: nothing to certify
-        return "zero_lower_bound", 0.0, None
-    theta = lam / (n * p_hat)
-    value = paley_zygmund_bound(raw, m2, theta)
-    return "certified", min(max(value, 0.0), 1.0), theta
+def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
+    """All analytic bounds for one configuration in a single record, each
+    scalar helper called once.
 
-
-def connectivity_probability_bound(params: ModelParams, num_graphs: int) -> ProbBoundResult:
-    """Lower bound on P[lambda_2(union) >= lambda_min], certified for
-    num_graphs >= n_min only (otherwise an explicit below-threshold status).
-
-    The Paley-Zygmund value bounds P[lambda_2 > theta E[lambda_2]] with
+    The probability bound is certified for num_graphs >= n_min only. Its
+    Paley-Zygmund value bounds P[lambda_2 > theta E[lambda_2]] with
     theta = lambda_min / (n p_hat). A certified bound has mean_lb > 0, so
     that event lies inside {connected}, which by Fiedler's theorem is
     {lambda_2 >= lambda_min} (see the module docstring).
     """
-    n = params.n
-    lam = line_graph_lambda_min(n)
-    rounded = math.ceil(_n_min_real(n, params.p, lam))
-    if num_graphs < rounded:
-        return ProbBoundResult(status="below_n_min", value=None,
-                               n_min_rounded=rounded, theta=None, lambda_min=lam)
-    p_hat, q_hat = params.effective_probabilities(num_graphs)
-    raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
-    m2, _ = _square_moments(n, p_hat)
-    status, value, theta = _certified_bound(n, p_hat, lam, raw, m2)
-    return ProbBoundResult(status=status, value=value, n_min_rounded=rounded,
-                           theta=theta, lambda_min=lam)
-
-
-def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
-    """All analytic bounds for one configuration in a single record: one pass
-    over the scalar helpers that the public functions wrap, each called once."""
     n = params.n
     p_hat, q_hat = params.effective_probabilities(num_graphs)
     lam = line_graph_lambda_min(n)
     raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
     m2, var2 = _square_moments(n, p_hat)
     var_lo, var_hi = _variance_bounds(n, p_hat, q_hat, raw, m2, var2)
-    theta = prob = None
+    theta = prob = rounded = None
     try:
-        certifiable = num_graphs >= math.ceil(_n_min_real(n, params.p, lam))
+        rounded = math.ceil(_n_min_real(n, params.p, lam))
     except InfeasibleError:  # n = 2: no union size has a bound
-        certifiable = False
-    if certifiable:
-        _, prob, theta = _certified_bound(n, p_hat, lam, raw, m2)
+        status = "infeasible"
+    else:
+        if num_graphs < rounded:
+            status = "below_n_min"
+        elif raw <= 0.0:
+            # p_hat below the (2n-4)/(3n-4) positivity threshold: nothing to certify
+            status, prob = "zero_lower_bound", 0.0
+        else:
+            status, theta = "certified", lam / (n * p_hat)
+            prob = min(max(paley_zygmund_bound(raw, m2, theta), 0.0), 1.0)
     return BoundReport(e_lambda2_lower=max(raw, 0.0), e_lambda2_upper=n * p_hat,
                        var_lambda2_lower=var_lo, var_lambda2_upper=var_hi,
-                       lambda_min=lam, theta=theta, prob_lower=prob)
+                       lambda_min=lam, theta=theta, prob_lower=prob,
+                       prob_status=status, n_min=rounded)

@@ -16,14 +16,12 @@ import sys
 from pathlib import Path
 
 from . import __version__, tables
-from .bounds import (bound_report, connectivity_probability_bound,
-                     expected_lambda2_bounds, lambda2_variance_bounds, n_min,
-                     n_min_asymptotic, union_effective_params)
+from .bounds import INFEASIBLE_N2, bound_report, n_min, n_min_asymptotic
 from .errors import CapabilityError, InfeasibleError, ValidationError
 from .graphs import ModelParams, sample_union, write_edgelist
 from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc
-from .oracle import enumerate_exact
+from .oracle import exact_union_report
 from .rng import trial_seed
 
 EXIT_OK = 0
@@ -39,10 +37,10 @@ def _dump_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _printed_size(value: int) -> int | float:
+def _printed_size(value: int | None) -> int | float | None:
     """A union size as printed: a float beyond 2**53, where JSON readers lose
-    integer precision (such doubles are integer-valued anyway)."""
-    return value if value <= 2 ** 53 else float(value)
+    integer precision (such doubles are integer-valued anyway); None as is."""
+    return float(value) if value is not None and value > 2 ** 53 else value
 
 
 def _precision(text: str) -> int:
@@ -78,23 +76,24 @@ def _cmd_nmin(args) -> int:
 
 
 def _cmd_probbound(args) -> int:
-    params = ModelParams(args.n, args.p)
-    res = connectivity_probability_bound(params, args.N)
-    n_min_rounded = _printed_size(res.n_min_rounded)
-    if res.status == "below_n_min":
+    rep = bound_report(ModelParams(args.n, args.p), args.N)
+    if rep.prob_status == "infeasible":
+        raise InfeasibleError(INFEASIBLE_N2)
+    n_min_rounded = _printed_size(rep.n_min)
+    if rep.prob_status == "below_n_min":
         if args.json:
             _dump_json({"n": args.n, "p": args.p, "N": args.N,
-                        "status": res.status, "n_min": n_min_rounded,
+                        "status": rep.prob_status, "n_min": n_min_rounded,
                         "value": None})
         print(f"error: N={args.N} is below N_min={n_min_rounded}; "
               f"the bound is not certified", file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
-        _dump_json({"n": args.n, "p": args.p, "N": args.N, "status": res.status,
-                    "value": res.value, "n_min": n_min_rounded,
-                    "theta": res.theta, "lambda_min": res.lambda_min})
+        _dump_json({"n": args.n, "p": args.p, "N": args.N, "status": rep.prob_status,
+                    "value": rep.prob_lower, "n_min": n_min_rounded,
+                    "theta": rep.theta, "lambda_min": rep.lambda_min})
     else:
-        print(f"{res.value:.{args.precision}f}")
+        print(f"{rep.prob_lower:.{args.precision}f}")
     return EXIT_OK
 
 
@@ -148,21 +147,20 @@ def _cmd_mc(args) -> int:
         "config": {"n": args.n, "p": args.p, "num_graphs": args.N,
                    "trials": args.trials, "master_seed": args.seed},
         "estimate": dataclasses.asdict(estimate),
-        "bounds": dataclasses.asdict(report),
+        "bounds": {**dataclasses.asdict(report), "n_min": _printed_size(report.n_min)},
     }
     _dump_json(payload)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    u = union_effective_params(ModelParams(args.n, args.p), args.N)
-    hat = ModelParams(args.n, u.p_hat)
-    report = enumerate_exact(hat)
+    params = ModelParams(args.n, args.p)
+    bounds = bound_report(params, args.N)  # rejects degenerate inputs before enumerating
+    report = exact_union_report(params, args.N)
+    hat = ModelParams(args.n, report.p)
     analytic = {k: eigenvalue_moment(hat, k) for k in (1, 2, 3, 4)}
     max_rel = max(abs(report.eigenvalue_moments[k] - analytic[k]) / abs(analytic[k])
                   for k in (1, 2, 3, 4))
-    e_lo, e_hi = expected_lambda2_bounds(u)
-    var = lambda2_variance_bounds(u)
     payload = {
         "n": args.n,
         "p": args.p,
@@ -179,8 +177,10 @@ def _cmd_oracle(args) -> int:
         },
         "analytic_moments": analytic,
         "max_rel_moment_error": max_rel,
-        "expected_lambda2_bounds": {"lower": e_lo, "upper": e_hi},
-        "var_lambda2_bounds": {"lower": var.lower, "upper": var.upper},
+        "expected_lambda2_bounds": {"lower": bounds.e_lambda2_lower,
+                                    "upper": bounds.e_lambda2_upper},
+        "var_lambda2_bounds": {"lower": bounds.var_lambda2_lower,
+                               "upper": bounds.var_lambda2_upper},
     }
     _dump_json(payload)
     return EXIT_OK

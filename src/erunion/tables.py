@@ -6,7 +6,7 @@ Table 3: probability bound for n=50, p=0.1, N in {25, ..., 125}.
 """
 from __future__ import annotations
 
-from .bounds import connectivity_probability_bound, n_min
+from .bounds import bound_report, n_min
 from .graphs import ModelParams
 
 TABLE1_NS = (10, 100, 1000, 10000, 100000)
@@ -27,9 +27,9 @@ def table1() -> list[tuple[float, list[int]]]:
 
 def _certified_bound(n: int, p: float, num_graphs: int) -> float:
     """Probability lower bound of one table cell; every cell is certified."""
-    res = connectivity_probability_bound(ModelParams(n, p), num_graphs)
-    assert res.status == "certified", res.status
-    return res.value
+    rep = bound_report(ModelParams(n, p), num_graphs)
+    assert rep.prob_status == "certified", rep.prob_status
+    return rep.prob_lower
 
 
 def table2() -> list[tuple[float, float]]:

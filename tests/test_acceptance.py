@@ -17,10 +17,9 @@ import mpmath as mp
 import numpy as np
 
 import erunion
-from erunion import (McConfig, ModelParams, connectivity_probability_bound,
-                     enumerate_exact, expected_lambda2_bounds,
+from erunion import (McConfig, ModelParams, bound_report, enumerate_exact,
                      line_graph_lambda_min, n_min, n_min_asymptotic, run_mc,
-                     sample_graph, union_effective_params)
+                     sample_graph)
 from erunion.moments import _coefficient
 from erunion.rng import trial_seed
 from erunion.spectral import EPS_ZERO
@@ -73,8 +72,8 @@ def test_ac03_table3_probability_bounds(capsys):
     rows = table3()
     for (num, value), want in zip(rows, EXPECTED_TABLE3):
         assert abs(round(value, 3) - want) <= 0.001, f"N={num}: {value}"
-    deep = connectivity_probability_bound(ModelParams(50, 0.1), 250)
-    assert deep.value >= 0.9998
+    deep = bound_report(ModelParams(50, 0.1), 250)
+    assert deep.prob_lower >= 0.9998
     _assert_cli_table_matches_fixture(3, capsys)
 
 
@@ -146,17 +145,16 @@ def test_ac07_bound_soundness_randomised():
         params = ModelParams(n, p)
         est = run_mc(McConfig(params, num_graphs=num, trials=trials,
                               master_seed=1000 + idx))
-        u = union_effective_params(params, num)
-        lower, upper = expected_lambda2_bounds(u)
+        rep = bound_report(params, num)
+        lower, upper = rep.e_lambda2_lower, rep.e_lambda2_upper
         se = math.sqrt(est.var_lambda2 / trials)
         assert lower - 3 * se <= est.mean_lambda2 <= upper + 3 * se, \
             f"config {idx}: mean {est.mean_lambda2} outside [{lower}, {upper}] +- 3se"
-        bound = connectivity_probability_bound(params, num)
-        if bound.status == "certified":
+        if rep.prob_status == "certified":
             emp = est.prob_ge_lambda_min
             se_p = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
-            assert emp >= bound.value - 3 * se_p, \
-                f"config {idx}: P_emp={emp} below bound {bound.value}"
+            assert emp >= rep.prob_lower - 3 * se_p, \
+                f"config {idx}: P_emp={emp} below bound {rep.prob_lower}"
 
 
 def test_ac08_eigensolver_accuracy_and_bfs_agreement():

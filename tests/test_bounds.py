@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erunion import (InfeasibleError, ModelParams, ValidationError,
-                     bound_report, connectivity_probability_bound,
-                     exact_union_report, expected_lambda2_bounds,
-                     lambda2_variance_bounds, line_graph_lambda_min, n_min,
-                     n_min_asymptotic, paley_zygmund_bound,
+from erunion import (InfeasibleError, ModelParams, ValidationError, bounds,
+                     bound_report, exact_union_report, line_graph_lambda_min,
+                     n_min, n_min_asymptotic, paley_zygmund_bound,
                      union_effective_params)
 from erunion.bounds import _nmin_log_argument
+from erunion.moments import _square_moments
 from reference import order_stat_expectation_bounds
 
 
@@ -97,8 +96,8 @@ class TestOrderStatBounds:
 
 class TestExpectedLambda2Bounds:
     def test_dense_limit_is_complete_graph(self):
-        u = union_effective_params(ModelParams(10, 1.0 - 1e-15), 1)
-        lower, upper = expected_lambda2_bounds(u)
+        rep = bound_report(ModelParams(10, 1.0 - 1e-15), 1)
+        lower, upper = rep.e_lambda2_lower, rep.e_lambda2_upper
         assert upper == pytest.approx(10.0, rel=1e-9)
         assert lower == pytest.approx(10.0, rel=1e-6)
 
@@ -106,19 +105,18 @@ class TestExpectedLambda2Bounds:
         # lower bound positive exactly when p_hat > (2n-4)/(3n-4)
         n = 10
         thresh = (2 * n - 4) / (3 * n - 4)
-        above = union_effective_params(ModelParams(n, thresh + 1e-6), 1)
-        below = union_effective_params(ModelParams(n, thresh - 1e-6), 1)
-        assert expected_lambda2_bounds(above)[0] > 0.0
-        assert expected_lambda2_bounds(below)[0] == 0.0
+        above = bound_report(ModelParams(n, thresh + 1e-6), 1)
+        below = bound_report(ModelParams(n, thresh - 1e-6), 1)
+        assert above.e_lambda2_lower > 0.0
+        assert below.e_lambda2_lower == 0.0
 
     def test_explicit_values(self):
-        u = union_effective_params(ModelParams(10, 0.7), 1)
-        lower, upper = expected_lambda2_bounds(u)
+        rep = bound_report(ModelParams(10, 0.7), 1)
+        lower, upper = rep.e_lambda2_lower, rep.e_lambda2_upper
         assert upper == pytest.approx(7.0, rel=1e-12)
         assert lower == pytest.approx(7.0 - math.sqrt(2 * 10 * 8 * 0.7 * 0.3), rel=1e-12)
         # below the positivity threshold the lower bound clamps to zero
-        u = union_effective_params(ModelParams(10, 0.6), 1)
-        assert expected_lambda2_bounds(u)[0] == 0.0
+        assert bound_report(ModelParams(10, 0.6), 1).e_lambda2_lower == 0.0
 
     @pytest.mark.parametrize("n,p,num", [(2, 0.3, 1), (3, 0.9, 2), (10, 0.7, 1), (50, 0.1, 50),
                                          (10**5, 1e-5, 200000)])
@@ -128,42 +126,39 @@ class TestExpectedLambda2Bounds:
         u = union_effective_params(ModelParams(n, p), num)
         sigma = math.sqrt(2.0 * n * u.p_hat * u.q_hat)
         lower, _ = order_stat_expectation_bounds(n * u.p_hat, sigma, n - 1, 1)
-        assert expected_lambda2_bounds(u)[0] == max(lower, 0.0)
+        assert bound_report(ModelParams(n, p), num).e_lambda2_lower == max(lower, 0.0)
 
 
 class TestVarianceBounds:
     def test_upper_vanishes_in_dense_limit(self):
         # decays like sqrt(q_hat): ~8e-5 at q_hat = 1e-13
-        u = union_effective_params(ModelParams(10, 1.0 - 1e-13), 1)
-        vb = lambda2_variance_bounds(u)
-        assert vb.upper == pytest.approx(0.0, abs=1e-4)
-        tail = [lambda2_variance_bounds(
-                    union_effective_params(ModelParams(10, 1.0 - q), 1)).upper
+        rep = bound_report(ModelParams(10, 1.0 - 1e-13), 1)
+        assert rep.var_lambda2_upper == pytest.approx(0.0, abs=1e-4)
+        tail = [bound_report(ModelParams(10, 1.0 - q), 1).var_lambda2_upper
                 for q in (1e-7, 1e-10, 1e-13)]
         assert tail[0] > tail[1] > tail[2] > 0.0
 
     def test_lower_at_most_upper_when_unclamped(self):
-        u = union_effective_params(ModelParams(10, 0.9), 1)
-        vb = lambda2_variance_bounds(u)
-        assert vb.lower <= vb.upper
-        assert vb.lower >= 0.0
+        rep = bound_report(ModelParams(10, 0.9), 1)
+        assert rep.var_lambda2_lower <= rep.var_lambda2_upper
+        assert rep.var_lambda2_lower >= 0.0
 
     @pytest.mark.parametrize("n,p,num", [
         (3, 0.5, 1), (3, 0.99, 1), (4, 0.9, 3), (6, 0.83, 20), (10, 0.9, 1),
         (50, 0.1, 50), (80, 0.5, 50), (300, 0.5, 52), (10**5, 1e-5, 2)])
     def test_lower_is_zero_for_n_at_least_3(self, n, p, num):
-        # the raw bound is negative for every n >= 3 (see the docstring);
+        # the raw bound is negative for every n >= 3 (see _variance_bounds);
         # at (80, 0.5, 50) the difference form printed 9.09e-13
-        vb = lambda2_variance_bounds(union_effective_params(ModelParams(n, p), num))
-        assert vb.lower == 0.0
-        assert vb.upper > 0.0
+        rep = bound_report(ModelParams(n, p), num)
+        assert rep.var_lambda2_lower == 0.0
+        assert rep.var_lambda2_upper > 0.0
 
     @pytest.mark.parametrize("p,num", [(0.3, 1), (0.3, 3), (0.5, 2), (0.01, 1), (0.9, 2),
                                        (0.96, 10)])
     def test_lower_at_n2_is_4pq(self, p, num):
         # at (0.96, 10), q_hat ~ 1e-14 and m2 - (2 p_hat)^2 was off by 0.5 %
         u = union_effective_params(ModelParams(2, p), num)
-        assert lambda2_variance_bounds(u).lower == 4.0 * u.p_hat * u.q_hat
+        assert bound_report(ModelParams(2, p), num).var_lambda2_lower == 4.0 * u.p_hat * u.q_hat
 
     def test_lower_at_most_upper_on_small_n_grid(self):
         # the upper bound is a sum of nonnegative terms; m2 - raw^2 rounded
@@ -172,13 +167,12 @@ class TestVarianceBounds:
             for p in [k / 50 for k in range(1, 50)] + [1e-6, 1e-3, 0.999]:
                 for num in (1, 2, 3, 5, 10, 20):
                     try:
-                        u = union_effective_params(ModelParams(n, p), num)
+                        rep = bound_report(ModelParams(n, p), num)
                     except ValidationError:  # p_hat rounds to 1
                         continue
-                    vb = lambda2_variance_bounds(u)
-                    assert vb.lower <= vb.upper, (n, p, num)
+                    assert rep.var_lambda2_lower <= rep.var_lambda2_upper, (n, p, num)
                     if n == 2:
-                        assert vb.lower == vb.upper, (n, p, num)
+                        assert rep.var_lambda2_lower == rep.var_lambda2_upper, (n, p, num)
 
     @pytest.mark.parametrize("n,p,num", [
         (2, 0.5, 3), (3, 0.5, 1), (10, 0.7, 1), (10, 1.0 - 1e-13, 1), (50, 0.1, 50),
@@ -189,59 +183,75 @@ class TestVarianceBounds:
             p_hat = 1 - (1 - mp.mpf(p)) ** num
             raw = n * p_hat - mp.sqrt(2 * n * (n - 2) * p_hat * (1 - p_hat))
             want = n * ((n - 2) * p_hat + 2) * p_hat - max(raw, 0) ** 2
-            got = lambda2_variance_bounds(union_effective_params(ModelParams(n, p), num)).upper
+            got = bound_report(ModelParams(n, p), num).var_lambda2_upper
             assert abs(got - want) <= 1e-14 * want
 
 
 class TestBoundReportSinglePass:
-    """bound_report computes in one pass what the public wrappers compute apart."""
+    """bound_report computes in one pass what each field's definition gives apart."""
 
     @staticmethod
-    def _from_wrappers(params, num):
+    def _expected(params, num):
+        """The record field by field: the first order-statistic bound, the
+        variance sandwich, n_min and the clamped Paley-Zygmund value at
+        theta = lambda_min / (n p_hat)."""
+        n = params.n
         u = union_effective_params(params, num)
-        e_lo, e_hi = expected_lambda2_bounds(u)
-        vb = lambda2_variance_bounds(u)
-        lam = line_graph_lambda_min(params.n)
+        sigma = math.sqrt(2.0 * n * u.p_hat * u.q_hat)
+        raw, _ = order_stat_expectation_bounds(n * u.p_hat, sigma, n - 1, 1)
+        m2, var2 = _square_moments(n, u.p_hat)
+        var_lo, var_hi = bounds._variance_bounds(n, u.p_hat, u.q_hat, raw, m2, var2)
+        lam = line_graph_lambda_min(n)
+        theta = prob = rounded = None
         try:
-            pb = connectivity_probability_bound(params, num)
+            rounded = n_min(params).rounded_up
         except InfeasibleError:
-            status, theta, prob = "infeasible", None, None
+            status = "infeasible"
         else:
-            assert pb.lambda_min == lam
-            status, theta, prob = pb.status, pb.theta, pb.value
-        return status, {"e_lambda2_lower": e_lo, "e_lambda2_upper": e_hi,
-                        "var_lambda2_lower": vb.lower, "var_lambda2_upper": vb.upper,
-                        "lambda_min": lam, "theta": theta, "prob_lower": prob}
+            status = "below_n_min" if num < rounded else "certified"
+        if status == "certified":
+            assert raw > 0.0, (n, params.p, num)  # see test_zero_lower_bound_case_fields
+            theta = lam / (n * u.p_hat)
+            prob = min(max(paley_zygmund_bound(raw, m2, theta), 0.0), 1.0)
+        return {"e_lambda2_lower": max(raw, 0.0), "e_lambda2_upper": n * u.p_hat,
+                "var_lambda2_lower": var_lo, "var_lambda2_upper": var_hi,
+                "lambda_min": lam, "theta": theta, "prob_lower": prob,
+                "prob_status": status, "n_min": rounded}
 
-    def test_fields_equal_the_wrappers(self):
+    def test_fields_equal_their_definitions(self):
         statuses = set()
         for n in (2, 3, 4, 6, 10, 50, 1000):
             for p in (1e-5, 0.01, 0.1, 0.5, 0.9):
                 params = ModelParams(n, p)
                 for num in (1, 2, 5, 11, 12, 50, 125, 2000):
                     try:
-                        status, want = self._from_wrappers(params, num)
+                        want = self._expected(params, num)
                     except ValidationError:
                         with pytest.raises(ValidationError):
                             bound_report(params, num)
                         continue
-                    assert dataclasses.asdict(bound_report(params, num)) == want, (n, p, num)
-                    statuses.add(status)
+                    rep = bound_report(params, num)
+                    assert dataclasses.asdict(rep) == want, (n, p, num)
+                    statuses.add(rep.prob_status)
         assert statuses == {"infeasible", "below_n_min", "certified"}
 
-    def test_zero_lower_bound_case_equals_the_wrappers(self, monkeypatch):
-        from erunion import bounds
-        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
+    def test_zero_lower_bound_case_fields(self, monkeypatch):
+        # with no positive E[lambda_2] lower bound, the Var upper bound is m2
+        # and nothing is certified
         params = ModelParams(50, 0.1)
-        status, want = self._from_wrappers(params, 50)
-        assert status == "zero_lower_bound"
+        want = self._expected(params, 50)
+        m2, _ = _square_moments(50, params.effective_probabilities(50)[0])
+        want.update(e_lambda2_lower=0.0, var_lambda2_upper=m2, theta=None,
+                    prob_lower=0.0, prob_status="zero_lower_bound")
+        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
         assert dataclasses.asdict(bound_report(params, 50)) == want
 
     def test_overflowing_n_min_is_rejected_by_both(self):
         params = ModelParams(10, 1e-310)
-        for call in (bound_report, connectivity_probability_bound):
-            with pytest.raises(ValidationError):
-                call(params, 5)
+        with pytest.raises(ValidationError):
+            bound_report(params, 5)
+        with pytest.raises(ValidationError):
+            n_min(params)
 
 
 class TestExactSoundnessGrid:
@@ -304,8 +314,7 @@ class TestNmin:
         # floor; at N-1 the threshold's own criterion q_hat <= the log argument fails
         for n, p in ((10, 0.1), (25, 0.2), (50, 0.1), (200, 0.05)):
             res = n_min(ModelParams(n, p))
-            u = union_effective_params(ModelParams(n, p), res.rounded_up)
-            lower, _ = expected_lambda2_bounds(u)
+            lower = bound_report(ModelParams(n, p), res.rounded_up).e_lambda2_lower
             assert lower >= line_graph_lambda_min(n) - 1e-9
             if res.rounded_up > res.exact_real:
                 q_prev = math.exp((res.rounded_up - 1) * math.log1p(-p))
@@ -359,42 +368,38 @@ class TestPaleyZygmund:
 
 class TestConnectivityProbabilityBound:
     def test_reference_values(self):
-        res = connectivity_probability_bound(ModelParams(50, 0.05), 50)
-        assert res.status == "certified"
-        assert res.value == pytest.approx(0.359, abs=5e-4)
-        res = connectivity_probability_bound(ModelParams(50, 0.10), 125)
-        assert res.value == pytest.approx(0.996, abs=5e-4)
+        rep = bound_report(ModelParams(50, 0.05), 50)
+        assert rep.prob_status == "certified"
+        assert rep.prob_lower == pytest.approx(0.359, abs=5e-4)
+        rep = bound_report(ModelParams(50, 0.10), 125)
+        assert rep.prob_lower == pytest.approx(0.996, abs=5e-4)
 
     def test_deep_union_exceeds_09998(self):
-        res = connectivity_probability_bound(ModelParams(50, 0.10), 250)
-        assert res.value >= 0.9998
+        assert bound_report(ModelParams(50, 0.10), 250).prob_lower >= 0.9998
 
     def test_below_n_min_status(self):
-        res = connectivity_probability_bound(ModelParams(50, 0.10), 5)
-        assert res.status == "below_n_min"
-        assert res.value is None
-        assert res.n_min_rounded == 11
+        rep = bound_report(ModelParams(50, 0.10), 5)
+        assert rep.prob_status == "below_n_min"
+        assert rep.prob_lower is None
+        assert rep.n_min == 11
 
     def test_nondecreasing_in_num_graphs(self):
         params = ModelParams(50, 0.10)
         start = n_min(params).rounded_up
-        vals = [connectivity_probability_bound(params, k).value
-                for k in range(start, start + 50)]
+        vals = [bound_report(params, k).prob_lower for k in range(start, start + 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_n2_propagates_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            connectivity_probability_bound(ModelParams(2, 0.5), 10)
+        rep = bound_report(ModelParams(2, 0.5), 10)
+        assert rep.prob_status == "infeasible"
+        assert (rep.prob_lower, rep.theta, rep.n_min) == (None, None, None)
 
     def test_zero_lower_bound_guard(self, monkeypatch):
         # unreachable in exact arithmetic for N >= n_min; the guard keeps a
         # nonpositive mean bound from giving a positive Paley-Zygmund value
-        from erunion import bounds
         monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
-        params = ModelParams(50, 0.1)
-        res = connectivity_probability_bound(params, 50)
-        assert res.status == "zero_lower_bound"
-        assert res.value == 0.0
-        assert res.theta is None
-        assert bound_report(params, 50).prob_lower == 0.0
+        rep = bound_report(ModelParams(50, 0.1), 50)
+        assert rep.prob_status == "zero_lower_bound"
+        assert rep.prob_lower == 0.0
+        assert rep.theta is None

@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, fixtures, determinism."""
+import dataclasses
 import json
 from pathlib import Path
 
@@ -54,6 +55,11 @@ class TestNmin:
         n_min = json.loads(out)["n_min"]
         assert isinstance(n_min, float) or n_min <= 2 ** 53
         assert len(err) <= 100
+        code, out, _ = run_cli(capsys, "mc", "--n", "3", "--p", p, "--N", "1",
+                               "--trials", "2", "--seed", "0")
+        assert code == 0
+        mc_n_min = json.loads(out)["bounds"]["n_min"]
+        assert (mc_n_min, type(mc_n_min)) == (n_min, type(n_min))
 
     def test_n2_infeasibility_diagnostic(self, capsys):
         code, out, err = run_cli(capsys, "nmin", "--n", "2", "--p", "0.5")
@@ -70,6 +76,7 @@ class TestNmin:
     ["nmin", "--n", "10", "--p", "1e-320"],
     ["probbound", "--n", "10", "--p", "1e-320", "--N", "4"],
     ["mc", "--n", "10", "--p", "1e-320", "--N", "4", "--trials", "5", "--seed", "0"],
+    ["oracle", "--n", "4", "--p", "1e-320"],
 ])
 def test_subnormal_p_is_a_domain_error(capsys, argv):
     # N_min = log(.) / log1p(-p) overflows to inf for subnormal p
@@ -130,6 +137,12 @@ class TestProbbound:
         code, out, err = run_cli(capsys, "probbound", "--n", "50", "--p", "0.1", "--N", "5")
         assert code == 2
         assert "below N_min" in err
+        # N <= 0 is no union size at all, rather than one below N_min
+        for num in ("0", "-3"):
+            code, out, err = run_cli(capsys, "probbound", "--n", "50", "--p", "0.1", "--N", num)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: num_graphs must be a positive integer, got {num}\n"
 
     def test_precision_override(self, capsys):
         code, out, _ = run_cli(capsys, "probbound", "--n", "50", "--p", "0.05",
@@ -202,6 +215,20 @@ class TestMc:
         _, out1, _ = run_cli(capsys, *args, "--workers", "1")
         _, out2, _ = run_cli(capsys, *args, "--workers", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("n,p,num,status,n_min", [
+        (2, 0.5, 3, "infeasible", None),
+        (50, 0.1, 5, "below_n_min", 11),
+        (50, 0.1, 50, "certified", 11),
+    ])
+    def test_bounds_carry_prob_status_and_n_min(self, capsys, n, p, num, status, n_min):
+        code, out, _ = run_cli(capsys, "mc", "--n", str(n), "--p", str(p), "--N", str(num),
+                               "--trials", "5", "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)["bounds"]
+        assert (payload["prob_status"], payload["n_min"]) == (status, n_min)
+        assert payload == dataclasses.asdict(bound_report(ModelParams(n, p), num))
+        assert (payload["prob_lower"] is None) == (status != "certified")
 
     def test_single_trial_report(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "--n", "6", "--p", "0.5", "--N", "1",
@@ -286,6 +313,16 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--n", "7", "--p", "0.5")
         assert code == 3
         assert "error" in err
+
+
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(capsys, case):
+    # probbound, oracle and nmin print byte for byte what the fixture holds,
+    # on both streams, and exit with its code
+    assert run_cli(capsys, *case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"])
 
 
 class TestParserReuse:

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
-                     bound_report, enumerate_exact, expected_lambda2_bounds,
-                     lambda2_variance_bounds, line_graph_lambda_min, run_mc,
-                     sample_union, union_effective_params, wilson_interval)
+                     bound_report, enumerate_exact, line_graph_lambda_min, run_mc,
+                     sample_union, wilson_interval)
 from erunion import montecarlo, rng
 from erunion.graphs import pair_arrays
 from erunion.montecarlo import lambda2s_from_pairs
@@ -852,8 +851,8 @@ class TestAgainstExactValues:
         # keeps a trial within 4950 pairs however many graphs the union holds
         params = ModelParams(100, 1e-5)
         est = run_mc(McConfig(params, 110539, trials=64, master_seed=110539))
-        lo, hi = expected_lambda2_bounds(union_effective_params(params, 110539))
-        assert lo <= est.mean_lambda2 <= hi
+        rep = bound_report(params, 110539)
+        assert rep.e_lambda2_lower <= est.mean_lambda2 <= rep.e_lambda2_upper
 
     def test_reference_probability_row_validated(self):
         # 50-fold union at (n=50, p=0.1): certified lower bound is 0.810
@@ -901,18 +900,16 @@ class TestCoverage:
     def test_mean_and_variance_inside_analytic_bounds(self):
         params = ModelParams(10, 0.6)
         est = run_mc(McConfig(params, 1, trials=100_000, master_seed=21))
-        u = union_effective_params(params, 1)
-        lo, hi = expected_lambda2_bounds(u)
-        assert lo <= est.mean_lambda2 <= hi
-        vb = lambda2_variance_bounds(u)
-        assert vb.lower <= est.var_lambda2 <= vb.upper
+        rep = bound_report(params, 1)
+        assert rep.e_lambda2_lower <= est.mean_lambda2 <= rep.e_lambda2_upper
+        assert rep.var_lambda2_lower <= est.var_lambda2 <= rep.var_lambda2_upper
 
     def test_variance_bounds_at_dense_effective_probability(self):
         params = ModelParams(10, 0.9)
         est = run_mc(McConfig(params, 1, trials=100_000, master_seed=22))
-        vb = lambda2_variance_bounds(union_effective_params(params, 1))
-        assert est.var_lambda2 <= vb.upper
-        assert est.var_lambda2 >= vb.lower
+        rep = bound_report(params, 1)
+        assert est.var_lambda2 <= rep.var_lambda2_upper
+        assert est.var_lambda2 >= rep.var_lambda2_lower
 
 
 def _bound_within_three_se(config):

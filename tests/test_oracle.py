@@ -6,9 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from erunion import (CapabilityError, ModelParams, enumerate_exact,
-                     exact_union_report, expected_lambda2_bounds, rng,
-                     union_effective_params, wilson_interval)
+from erunion import (CapabilityError, ModelParams, bound_report, enumerate_exact,
+                     exact_union_report, rng, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.oracle import _graph_stats, _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
@@ -75,8 +74,9 @@ class TestInvariants:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_expected_lambda2_inside_analytic_bounds(self, n, p):
         rep = enumerate_exact(ModelParams(n, p))
-        lower, upper = expected_lambda2_bounds(union_effective_params(ModelParams(n, p), 1))
-        assert lower - 1e-12 <= rep.expected_lambda2 <= upper + 1e-12
+        bounds = bound_report(ModelParams(n, p), 1)
+        assert (bounds.e_lambda2_lower - 1e-12 <= rep.expected_lambda2
+                <= bounds.e_lambda2_upper + 1e-12)
 
 
 class TestSharedIndicators:

@@ -31,11 +31,21 @@ def _names_read_in_package():
     return names
 
 
+def _public_definitions():
+    """Every public top-level def and class of the package's modules."""
+    return {node.name for path in SRC.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def test_every_export_is_used_by_the_package_or_the_benchmark():
-    # a name only tests use belongs in tests/reference.py; the benchmark
-    # names its traced functions in strings, so its files are searched as text
+    # every export and every public def or class: a name only tests use
+    # belongs in tests/reference.py; the benchmark names its traced functions
+    # in strings, so its files are searched as text
     read = _names_read_in_package()
     bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
-    unused = [name for name in erunion.__all__ if name != "__version__"
-              and name not in read and not re.search(rf"\b{name}\b", bench)]
+    public = (set(erunion.__all__) - {"__version__"}) | _public_definitions()
+    unused = [name for name in sorted(public)
+              if name not in read and not re.search(rf"\b{name}\b", bench)]
     assert unused == []
