@@ -77,16 +77,15 @@ def _cmd_nmin(args) -> int:
 
 def _cmd_probbound(args) -> int:
     rep = bound_report(ModelParams(args.n, args.p), args.N)
-    if rep.prob_status == "infeasible":
-        raise InfeasibleError(INFEASIBLE_N2)
     n_min_rounded = _printed_size(rep.n_min)
-    if rep.prob_status == "below_n_min":
+    if rep.prob_status in ("infeasible", "below_n_min"):
         if args.json:
             _dump_json({"n": args.n, "p": args.p, "N": args.N,
                         "status": rep.prob_status, "n_min": n_min_rounded,
                         "value": None})
-        print(f"error: N={args.N} is below N_min={n_min_rounded}; "
-              f"the bound is not certified", file=sys.stderr)
+        message = (INFEASIBLE_N2 if rep.prob_status == "infeasible" else
+                   f"N={args.N} is below N_min={n_min_rounded}; the bound is not certified")
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
         _dump_json({"n": args.n, "p": args.p, "N": args.N, "status": rep.prob_status,

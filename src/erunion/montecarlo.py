@@ -64,10 +64,10 @@ alone. By Harris's inequality the true share is at least f, so a chunk may
 hold more such unions than expected; the n x n Laplacians are therefore
 built and solved in slices of at most :func:`_slice_matrices` unions,
 which bounds the matrices held at once whatever the chunk size. Below
-``DSYEVR_MIN_N`` rows a slice holds about ``_CHUNK_ENTRIES`` entries and at
-least 16 matrices, for batched ``eigvalsh``; from there up
+``DSYEVR_MIN_N`` rows a slice holds about ``_CHUNK_ENTRIES`` entries (512 KB),
+so at least 21 matrices for batched ``eigvalsh``; from there up
 :func:`erunion.spectral.eigenvalue_at` solves one matrix at a time, so a
-slice holds about ``_SLICE_ENTRIES`` entries (1 MB) with no floor. Each
+slice holds about ``_SLICE_ENTRIES`` entries (1 MB), or one matrix. Each
 eigensolve depends on its own matrix alone, so neither chunks nor slices
 move any result. A slice's pairs are contiguous ranges of the chunk's,
 which the sampler returns sorted by union.
@@ -95,13 +95,12 @@ from .spectral import (DSYEVR_MIN_N, EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at
 
 Z95 = 1.959963984540054
 
-# eigensolver workspace (Laplacian entries) that caps a chunk and a slice at large n
+# eigensolver workspace (Laplacian entries) that caps a chunk at large n
 _EIG_BUDGET = 1 << 22
 # n x n Laplacian entries a slice holds below DSYEVR_MIN_N rows (512 KB of
-# float64), so that they stay in cache, and that a chunk is expected to
-# build; below 16 trials the per-chunk Python overhead dominates, so a chunk,
-# or a slice solved by batched eigvalsh, holds at least 16 while _EIG_BUDGET
-# allows
+# float64, so at least 21 matrices), so that they stay in cache, and that a
+# chunk is expected to build; below 16 trials the per-chunk Python overhead
+# dominates, so a chunk holds at least 16 while _EIG_BUDGET allows
 _CHUNK_ENTRIES = 1 << 16
 # n x n Laplacian entries a slice holds (1 MB of float64) from DSYEVR_MIN_N
 # rows up, where each matrix is solved alone and a slice needs no floor
@@ -121,9 +120,7 @@ def _usable_cpus() -> int:
 
 def _slice_matrices(n: int) -> int:
     """Unions solved in full whose n x n Laplacians are built and solved at once."""
-    if n >= DSYEVR_MIN_N:
-        return max(1, _SLICE_ENTRIES // (n * n))
-    return max(1, min(_EIG_BUDGET // (n * n), max(16, _CHUNK_ENTRIES // (n * n))))
+    return max(1, (_SLICE_ENTRIES if n >= DSYEVR_MIN_N else _CHUNK_ENTRIES) // (n * n))
 
 
 def _chunk_trials(n: int, p_hat: float, trials: int) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
-from .spectral import EPS_ZERO
+from .spectral import EPS_ZERO, eigenvalue_at
 
 ORACLE_N_CAP = 6
 _SLICE_GRAPHS = 1 << 10  # graphs built and solved at once: 0.3 MB of Laplacians at n = 6
@@ -62,7 +62,7 @@ def _graph_stats(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
     i, j = pair_arrays(n)
     lap = laplacians_from_pairs(graph, i[pair], j[pair], True, len(bits), n)
     l2 = lap @ lap
-    lambda2s = np.linalg.eigvalsh(lap)[:, 1]
+    lambda2s = eigenvalue_at(lap, 2)
     return bits.sum(axis=1, dtype=np.int64), np.stack([
         np.ones(len(bits)), np.einsum("bii->b", lap), np.einsum("bij,bij->b", lap, lap),
         np.einsum("bij,bij->b", l2, lap), np.einsum("bij,bij->b", l2, l2),

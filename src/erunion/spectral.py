@@ -8,10 +8,11 @@ path. Below :data:`DSYEVR_MIN_N` rows it takes every eigenvalue of a stack
 at once by divide and conquer (``dsyevd`` via ``numpy.linalg.eigvalsh``);
 from there up it finds the one eigenvalue asked for by bisection on the
 tridiagonal matrix (``dsyevr`` with ``RANGE='I'``), one matrix at a time,
-through the ILP64 ``scipy_dsyevr_64_`` of the OpenBLAS that numpy bundles.
-Without that symbol (MKL, Accelerate, a distro numpy) every stack goes to
-``eigvalsh``. Dense solves are intended for n up to
-:data:`SPECTRAL_N_CEILING`; the analytic modules have no such ceiling.
+through the ILP64 ``scipy_dsyevr_64_`` of the OpenBLAS that numpy bundles,
+looked up through ``numpy.linalg``'s own extension module. Without that
+symbol (MKL, Accelerate, a distro numpy) every stack goes to ``eigvalsh``.
+No other module calls ``numpy.linalg`` or LAPACK. Dense solves are intended
+for n up to :data:`SPECTRAL_N_CEILING`; the analytic modules have none.
 
 The bits of a ``dsyevr`` eigenvalue depend on the BLAS thread count, so its
 solves always run under :func:`one_blas_thread`. Worker threads that each
@@ -43,8 +44,7 @@ SPECTRAL_N_CEILING = 2000
 # Baseline), and the cutoff stays at 56 until ROADMAP item 9 moves it
 DSYEVR_MIN_N = 56
 
-# (get, set) thread-count entry points: plain OpenBLAS, then the 64-bit
-# integer build that numpy wheels bundle
+# (get, set) thread-count functions: plain OpenBLAS, then numpy wheels' ILP64 build
 _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -52,38 +52,23 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _openblas():
-    """The OpenBLAS library this process has loaded, with its ``(get, set)``
-    thread-count functions.
-
-    Found once per process among the files mapped into it; None when there
-    is no OpenBLAS (MKL, Accelerate) or no ``/proc/self/maps`` (non-Linux).
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            # a line naming a file ends with its path
-            paths = sorted({line.split(maxsplit=5)[-1].strip()
-                            for line in maps if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return lib, get, set_
-    return None
+def _linalg_library() -> ctypes.CDLL:
+    """numpy.linalg's extension module: symbols looked up through it resolve
+    in the libraries it links, the BLAS and LAPACK that numpy.linalg calls."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
+@functools.cache
 def _openblas_thread_controls():
-    """``(get, set)`` of the thread count of the OpenBLAS this process has loaded."""
-    found = _openblas()
-    return None if found is None else found[1:]
+    """``(get, set)`` thread-count functions of numpy's OpenBLAS, or None (MKL, Accelerate)."""
+    lib = _linalg_library()
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @functools.cache
@@ -94,8 +79,7 @@ def _dsyevr():
     LDZ, ISUPPZ, WORK, LWORK, IWORK, LIWORK, INFO, then the lengths of the
     three strings.
     """
-    found = _openblas()
-    dsyevr = getattr(found[0], "scipy_dsyevr_64_", None) if found else None
+    dsyevr = getattr(_linalg_library(), "scipy_dsyevr_64_", None)
     if dsyevr is not None:
         dsyevr.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
         dsyevr.restype = None
@@ -164,7 +148,7 @@ def one_blas_thread():
 
     The count is process-wide, so it covers every thread's solves while the
     body runs, and it is restored when the last of overlapping bodies ends.
-    Does nothing when no OpenBLAS is loaded.
+    Does nothing when numpy's BLAS is not OpenBLAS.
     """
     global _one_thread_holders, _one_thread_saved
     controls = _openblas_thread_controls()

@@ -19,7 +19,7 @@ def blas_get_at_two_threads():
     """numpy's OpenBLAS set to 2 threads for the test; yields its thread-count getter."""
     controls = spectral._openblas_thread_controls()
     if controls is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+        pytest.skip("numpy's BLAS is not an OpenBLAS with thread-count functions")
     get, set_ = controls
     original = get()
     set_(2)

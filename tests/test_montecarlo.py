@@ -445,7 +445,10 @@ class TestAboveTheCutoff:
         assert montecarlo._slice_matrices(n) == 2**17 // n**2 == 3
         assert montecarlo._slice_matrices(DSYEVR_MIN_N) == 2**17 // DSYEVR_MIN_N**2
         assert montecarlo._slice_matrices(400) == 1
-        assert montecarlo._slice_matrices(DSYEVR_MIN_N - 1) == 2**16 // (DSYEVR_MIN_N - 1)**2
+        # below it about 512 KB for batched eigvalsh: at least 21 matrices
+        assert montecarlo._slice_matrices(DSYEVR_MIN_N - 1) == 2**16 // (DSYEVR_MIN_N - 1)**2 == 21
+        assert montecarlo._slice_matrices(10) == 655
+        assert montecarlo._slice_matrices(2) == 16384
 
     @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS[:2])
     def test_slices_of_one_match(self, monkeypatch, cfg):

@@ -49,3 +49,30 @@ def test_every_export_is_used_by_the_package_or_the_benchmark():
     unused = [name for name in sorted(public)
               if name not in read and not re.search(rf"\b{name}\b", bench)]
     assert unused == []
+
+
+def _reads_numpy_linalg(node) -> bool:
+    """``np.linalg`` or ``numpy.linalg`` read as an attribute, or imported."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.linalg") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.linalg") or (
+            node.module == "numpy" and any(alias.name == "linalg" for alias in node.names))
+    return False
+
+
+def test_spectral_is_the_one_door_to_lapack():
+    # only spectral.py calls numpy.linalg, and no module finds the BLAS by
+    # reading the process's memory map
+    readers, maps = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _reads_numpy_linalg(node):
+                readers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and node.value == "/proc/self/maps":
+                maps.append(f"{path.name}:{node.lineno}")
+    assert readers and all(where.startswith("spectral.py:") for where in readers), readers
+    assert maps == []

@@ -1,4 +1,5 @@
 """Eigenvalue solver accuracy against closed-form spectra."""
+import builtins
 import ctypes
 import math
 import os
@@ -168,6 +169,41 @@ def test_overlapping_one_blas_thread_bodies_restore_the_count(blas_get_at_two_th
     assert get() == 1
     second.__exit__(None, None, None)
     assert get() == 2
+
+
+def _clear_lookups():
+    for value in vars(spectral).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _address(function):
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+def test_blas_is_numpy_linalgs_and_found_without_proc_self_maps(monkeypatch):
+    # the thread controls and dsyevr are those of the BLAS numpy.linalg
+    # calls, found also where /proc/self/maps is hidden (macOS, sandboxes)
+    if spectral._openblas_thread_controls() is None or spectral._dsyevr() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread controls or scipy_dsyevr_64_")
+    real_open = builtins.open
+
+    def open_without_maps(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_without_maps)
+    _clear_lookups()
+    try:
+        controls, dsyevr = spectral._openblas_thread_controls(), spectral._dsyevr()
+    finally:
+        _clear_lookups()
+    assert controls is not None and dsyevr is not None
+    linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    assert _address(dsyevr) == _address(linalg.scipy_dsyevr_64_)
+    names = next(pair for pair in spectral._OPENBLAS_THREAD_SYMBOLS if hasattr(linalg, pair[0]))
+    assert [_address(f) for f in controls] == [_address(getattr(linalg, n)) for n in names]
 
 
 def _sampled_laplacians(n, count, seed):
