@@ -12,8 +12,7 @@ from .bounds import (bound_report, n_min, n_min_asymptotic, paley_zygmund_bound,
                      union_effective_params)
 from .errors import (CapabilityError, ErUnionError, InfeasibleError,
                      ValidationError)
-from .graphs import (GraphSample, ModelParams, sample_graph, sample_union,
-                     write_edgelist)
+from .graphs import ModelParams
 from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc, wilson_interval
 from .oracle import enumerate_exact, exact_union_report
@@ -24,7 +23,7 @@ __all__ = [
     "bound_report", "n_min", "n_min_asymptotic", "paley_zygmund_bound",
     "union_effective_params",
     "CapabilityError", "ErUnionError", "InfeasibleError", "ValidationError",
-    "GraphSample", "ModelParams", "sample_graph", "sample_union", "write_edgelist",
+    "ModelParams",
     "eigenvalue_moment",
     "McConfig", "run_mc", "wilson_interval",
     "enumerate_exact", "exact_union_report",

@@ -15,14 +15,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, tables
+import numpy as np
+
+from . import __version__, rng, tables
 from .bounds import INFEASIBLE_N2, bound_report, n_min, n_min_asymptotic
 from .errors import CapabilityError, InfeasibleError, ValidationError
-from .graphs import ModelParams, sample_union, write_edgelist
+from .graphs import ModelParams, pair_arrays
 from .moments import eigenvalue_moment
 from .montecarlo import McConfig, run_mc
 from .oracle import exact_union_report
-from .rng import trial_seed
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -132,14 +133,27 @@ def _cmd_mc(args) -> int:
     config = McConfig(params=params, num_graphs=args.N, trials=args.trials,
                       master_seed=args.seed, workers=args.workers)
     report = bound_report(params, args.N)  # rejects degenerate inputs before sampling
-    estimate = run_mc(config)
     if args.dump_graphs is not None:
         outdir = Path(args.dump_graphs)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:  # before the run, so that a path that cannot be a directory fails at once
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--dump-graphs: {exc}") from exc
+    estimate = run_mc(config)
+    if args.dump_graphs is not None:
+        # trial t's union from the two calls run_mc makes for it; its pairs
+        # come ascending, hence in lexicographic order
+        p_hat, _ = params.effective_probabilities(args.N)
+        a, b = pair_arrays(args.n)
         for t in range(args.trials):
-            g = sample_union(params, args.N, trial_seed(args.seed, t))
-            with open(outdir / f"trial_{t:06d}.edges", "w") as fp:
-                write_edgelist(g, fp)
+            _, pair = rng.rare_pairs(rng.trial_seeds_np(args.seed, t, 1), params.num_pairs, p_hat)
+            if rng.missing_is_rare(p_hat):
+                pair = np.delete(np.arange(params.num_pairs), pair)
+            edges = "".join(f"{i} {j}\n" for i, j in zip(a[pair].tolist(), b[pair].tolist()))
+            try:
+                (outdir / f"trial_{t:06d}.edges").write_text(f"n={args.n}\n{edges}")
+            except OSError as exc:
+                raise ValidationError(f"--dump-graphs: {exc}") from exc
     # the worker count is an execution detail and is deliberately absent:
     # identical seeds must give identical JSON for any worker count
     payload = {

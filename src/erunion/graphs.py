@@ -1,11 +1,14 @@
-"""Erdos-Renyi graph samples, the one Laplacian builder, and edge-list output.
+"""G(n, p) parameters, the pair enumeration, and the one Laplacian builder.
 
 Nodes are labelled 0..n-1. Admissible node pairs are enumerated in
 lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ... (:func:`pair_arrays`);
 this order fixes both the sampling draw order and the bitmask encoding used
-by the enumeration oracle. Sampling draws only the pairs in the rarer state
-(present or missing), and a union of N samples is drawn as one G(n, p_hat)
-sample, so a sample is a pure function of (params, N, seed); see
+by the enumeration oracle. A sampled graph is the index array of its pairs
+in the rarer state, present or missing, as :func:`erunion.rng.rare_pairs`
+draws them; a union of N samples is drawn as one G(n, p_hat) sample
+(:meth:`ModelParams.effective_probabilities`). Trial t of ``mc`` draws its
+union from the stream seeded by ``rng.trial_seeds_np(master_seed, t, 1)``,
+both in :func:`erunion.run_mc` and for ``mc --dump-graphs``; see
 :mod:`erunion.rng` for the stream definition.
 """
 from __future__ import annotations
@@ -13,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO
 
 import numpy as np
 
-from . import rng
 from .errors import ValidationError
 
 
@@ -68,22 +69,6 @@ class ModelParams:
         return p_hat, math.exp(num_graphs * log_q)
 
 
-@dataclass(frozen=True)
-class GraphSample:
-    """Simple undirected graph on n labelled nodes; edges stored as sorted pairs."""
-
-    n: int
-    edges: frozenset
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < j < self.n):
-                raise ValidationError(f"invalid edge {e!r} for n={self.n}")
-
-
 @lru_cache(maxsize=64)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic pair endpoints as two index arrays (row, col)."""
@@ -116,33 +101,3 @@ def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, prese
         del index
     lap.reshape(rows, n * n)[:, ::n + 1] = (counts if present else n - 1 - counts).reshape(rows, n)
     return lap
-
-
-def sample_graph(params: ModelParams, seed: int) -> GraphSample:
-    """One G(n, p) sample from the stream with this seed: the pairs that
-    :func:`erunion.rng.rare_pairs` draws are its edges when p <= 1/2 and
-    its missing pairs otherwise."""
-    seeds = np.array([seed & rng.MASK], dtype=np.uint64)
-    _, pair = rng.rare_pairs(seeds, params.num_pairs, params.p)
-    if rng.missing_is_rare(params.p):
-        pair = np.delete(np.arange(params.num_pairs), pair)
-    a, b = pair_arrays(params.n)
-    return GraphSample(params.n, frozenset(zip(a[pair].tolist(), b[pair].tolist())))
-
-
-def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample:
-    """Union of ``num_graphs`` independent G(n, p) samples, drawn as G(n, p_hat).
-
-    ``sample_union(params, 1, seed)`` is ``sample_graph(params, seed)``, and
-    trial t of a Monte-Carlo run is exactly
-    ``sample_union(params, N, rng.trial_seed(master_seed, t))``.
-    """
-    p_hat, _ = params.effective_probabilities(num_graphs)
-    return sample_graph(ModelParams(params.n, p_hat), seed)
-
-
-def write_edgelist(g: GraphSample, fp: IO[str]) -> None:
-    """Serialise as the edge-list text format: header ``n=<count>``, one ``i j`` per line."""
-    fp.write(f"n={g.n}\n")
-    for i, j in sorted(g.edges):
-        fp.write(f"{i} {j}\n")

@@ -9,9 +9,9 @@ event the analytic bound in :mod:`erunion.bounds` lower-bounds.
 Trial t draws its own counter-based stream (see :mod:`erunion.rng`) so the
 sample set is a pure function of the configuration: results are bit-identical
 for any worker count. Each trial's union is drawn as one G(n, p_hat) graph,
-and only its pairs in the rarer state are drawn (:func:`erunion.rng.rare_pairs`),
-so trial t's union graph equals
-``sample_union(params, num_graphs, rng.trial_seed(master_seed, t))``.
+and only its pairs in the rarer state are drawn (:func:`erunion.rng.rare_pairs`)
+from the stream seeded by ``rng.trial_seeds_np(master_seed, t, 1)``, so trial
+t's union graph is the graph ``mc --dump-graphs`` writes for trial t.
 
 Node degrees come from the sampled pairs: two ``bincount`` calls over their
 end nodes count the present pairs at each node, or the missing ones, whose
@@ -169,8 +169,8 @@ class McEstimate:
     ci_reliable: bool
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (well-behaved near 0/1).
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion (well-behaved near 0/1).
 
     Its ends are exactly 0.0 when ``successes`` is 0 and exactly 1.0 when it
     is ``trials``, so the interval always holds ``successes / trials``.
@@ -181,10 +181,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
             or not 0 <= successes <= trials):
         raise ValidationError(f"successes must be an integer in [0, {trials}], got {successes!r}")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
+    half = (Z95 / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
     # centre -/+ half is 0 or 1 in exact arithmetic there; rounding moves it inward
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
     hi = 1.0 if successes == trials else min(1.0, centre + half)

@@ -66,13 +66,9 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    """Seed of the independent stream assigned to a trial index."""
-    return mix64((mix64(master_seed) + trial * PHI) & MASK)
-
-
 def trial_seeds_np(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Seeds for trials ``start .. start+count-1`` as a uint64 array."""
+    """Seeds for trials ``start .. start+count-1`` as a uint64 array
+    (``trial_seed`` in the module doc)."""
     base = np.uint64(mix64(master_seed))
     t = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):

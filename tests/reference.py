@@ -1,8 +1,10 @@
 """Reference implementations that the tests compare the package against.
 
 None of these is on a path the command line runs. The Laplacian, BFS,
-edge-list parser and order-statistic bounds are written apart from the
-package's code, so a test that compares the two checks both; the rest are
+edge-list parser and writer, scalar trial seeds and order-statistic bounds
+are written apart from the package's code, so a test that compares the two
+checks both; the one-graph sampler draws through
+:func:`erunion.rng.rare_pairs` into a :class:`GraphSample`, and the rest are
 plain helpers.
 """
 import math
@@ -14,8 +16,60 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from erunion import GraphSample, ModelParams, ValidationError, eigenvalue_moment, rng
+from erunion import ModelParams, ValidationError, eigenvalue_moment, rng
+from erunion.graphs import pair_arrays
 from erunion.moments import _square_moments
+
+
+@dataclass(frozen=True)
+class GraphSample:
+    """Simple undirected graph on n labelled nodes; edges stored as sorted pairs."""
+
+    n: int
+    edges: frozenset
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
+        for e in self.edges:
+            i, j = e
+            if not (0 <= i < j < self.n):
+                raise ValidationError(f"invalid edge {e!r} for n={self.n}")
+
+
+def trial_seed(master_seed: int, trial: int) -> int:
+    """Seed of the stream assigned to a trial index, from the scalar mix."""
+    return rng.mix64((rng.mix64(master_seed) + trial * rng.PHI) & rng.MASK)
+
+
+def sample_graph(params: ModelParams, seed: int) -> GraphSample:
+    """One G(n, p) sample from the stream with this seed: the pairs that
+    :func:`erunion.rng.rare_pairs` draws are its edges when p <= 1/2 and
+    its missing pairs otherwise."""
+    seeds = np.array([seed & rng.MASK], dtype=np.uint64)
+    _, pair = rng.rare_pairs(seeds, params.num_pairs, params.p)
+    if rng.missing_is_rare(params.p):
+        pair = np.delete(np.arange(params.num_pairs), pair)
+    a, b = pair_arrays(params.n)
+    return GraphSample(params.n, frozenset(zip(a[pair].tolist(), b[pair].tolist())))
+
+
+def sample_union(params: ModelParams, num_graphs: int, seed: int) -> GraphSample:
+    """Union of ``num_graphs`` independent G(n, p) samples, drawn as G(n, p_hat).
+
+    ``sample_union(params, 1, seed)`` is ``sample_graph(params, seed)``, and
+    trial t of a Monte-Carlo run is exactly
+    ``sample_union(params, N, trial_seed(master_seed, t))``.
+    """
+    p_hat, _ = params.effective_probabilities(num_graphs)
+    return sample_graph(ModelParams(params.n, p_hat), seed)
+
+
+def write_edgelist(g: GraphSample, fp: IO[str]) -> None:
+    """Serialise as the edge-list text format: header ``n=<count>``, one ``i j`` per line."""
+    fp.write(f"n={g.n}\n")
+    for i, j in sorted(g.edges):
+        fp.write(f"{i} {j}\n")
 
 
 @lru_cache(maxsize=64)
@@ -120,9 +174,10 @@ def _is_ascii_number(token: str) -> bool:
 
 
 def read_edgelist(fp: IO[str]) -> GraphSample:
-    """Parse the edge-list text format that :func:`erunion.write_edgelist`
-    writes: a header ``n=<count>``, then one ``i j`` pair per line with
-    ``i < j``, each pair at most once and every number in ASCII digits."""
+    """Parse the edge-list text format that :func:`write_edgelist` and
+    ``mc --dump-graphs`` write: a header ``n=<count>``, then one ``i j`` pair
+    per line with ``i < j``, each pair at most once and every number in ASCII
+    digits."""
     header = fp.readline().strip()
     if not (header.startswith("n=") and _is_ascii_number(header[2:])):
         raise ValidationError(f"edge-list header must be 'n=<count>', got {header!r}")

@@ -1,13 +1,15 @@
 """Command-line surface: formats, exit codes, fixtures, determinism."""
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from erunion import ModelParams, bound_report, montecarlo
+from erunion import ModelParams, bound_report, cli, montecarlo, rng
 from erunion.cli import build_parser, main
-from reference import lambda2, laplacian, read_edgelist
+from reference import (lambda2, laplacian, read_edgelist, sample_union, trial_seed,
+                       write_edgelist)
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,9 +254,15 @@ class TestMc:
         assert code == 3
         assert "error" in err
 
-    def test_dump_graphs_round_trip(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n, p, num, missing", [
+        (8, 0.4, 2, True),     # p_hat = 0.64: the missing pairs are drawn
+        (20, 0.05, 2, False),  # p_hat = 0.0975: the present pairs are drawn
+    ], ids=["missing-pairs", "present-pairs"])
+    def test_dump_graphs_round_trip(self, capsys, tmp_path, n, p, num, missing):
+        params = ModelParams(n, p)
+        assert rng.missing_is_rare(params.effective_probabilities(num)[0]) == missing
         outdir = tmp_path / "graphs"
-        code, out, _ = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "2",
+        code, out, _ = run_cli(capsys, "mc", "--n", str(n), "--p", str(p), "--N", str(num),
                                "--trials", "5", "--seed", "11",
                                "--dump-graphs", str(outdir))
         assert code == 0
@@ -262,13 +270,43 @@ class TestMc:
         assert [f.name for f in files] == [f"trial_{t:06d}.edges" for t in range(5)]
         payload = json.loads(out)
         lam2s = []
-        for f in files:
+        for t, f in enumerate(files):
+            want = io.StringIO()
+            write_edgelist(sample_union(params, num, trial_seed(11, t)), want)
+            assert f.read_bytes() == want.getvalue().encode()
             with open(f) as fp:
                 g = read_edgelist(fp)
-            assert g.n == 8
+            assert g.n == n
             lam2s.append(lambda2(laplacian(g)))
         mean = sum(lam2s) / len(lam2s)
         assert mean == pytest.approx(payload["estimate"]["mean_lambda2"], abs=1e-12)
+
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_dump_graphs_path_that_cannot_be_a_directory(self, capsys, monkeypatch,
+                                                          tmp_path, target):
+        # an existing file, and a parent that cannot be made: both fail before
+        # the run, with no traceback and nothing on stdout
+        (tmp_path / "file").write_text("")
+
+        def no_run(config):
+            raise AssertionError("run_mc ran")
+
+        monkeypatch.setattr(cli, "run_mc", no_run)
+        code, out, err = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "2",
+                                 "--trials", "5", "--seed", "11",
+                                 "--dump-graphs", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --dump-graphs: ") and "Traceback" not in err
+
+    def test_dump_graphs_unwritable_file_is_a_domain_error(self, capsys, tmp_path):
+        (tmp_path / "trial_000003.edges").mkdir()
+        code, out, err = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "2",
+                                 "--trials", "5", "--seed", "11",
+                                 "--dump-graphs", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --dump-graphs: ") and "trial_000003.edges" in err
 
 
 class TestOracle:

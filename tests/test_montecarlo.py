@@ -12,13 +12,13 @@ import pytest
 
 from erunion import (CapabilityError, McConfig, ModelParams, ValidationError,
                      bound_report, enumerate_exact, line_graph_lambda_min, run_mc,
-                     sample_union, wilson_interval)
+                     wilson_interval)
 from erunion import montecarlo, rng
 from erunion.graphs import pair_arrays
 from erunion.montecarlo import lambda2s_from_pairs
-from erunion.rng import trial_seed
 from erunion.spectral import DSYEVR_MIN_N, EPS_ZERO, eigenvalue_at
-from reference import edge_masks, is_connected_bfs, lambda2, laplacian
+from reference import (edge_masks, is_connected_bfs, lambda2, laplacian, sample_union,
+                       trial_seed)
 
 # n=40, N=2: p_hat = 0.0975 sits at the connectivity threshold ln(40)/40,
 # where about half the unions have a node of degree 0

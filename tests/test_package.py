@@ -76,3 +76,17 @@ def test_spectral_is_the_one_door_to_lapack():
                 maps.append(f"{path.name}:{node.lineno}")
     assert readers and all(where.startswith("spectral.py:") for where in readers), readers
     assert maps == []
+
+
+def test_one_route_from_seed_to_graph():
+    # only run_mc and mc --dump-graphs turn a trial's seed into its graph, and
+    # both through the same two calls
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("rare_pairs", "trial_seeds_np"):
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert {where.split(":")[0] for where in callers} == {"montecarlo.py", "cli.py"}, callers

@@ -12,13 +12,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from erunion import (ModelParams, ValidationError, line_graph_lambda_min, rng,
-                     sample_graph)
+from erunion import ModelParams, ValidationError, line_graph_lambda_min, rng
 from erunion import spectral
 from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.spectral import EPS_ZERO, eigenvalue_at, one_blas_thread
 from reference import (all_pairs, from_edges, is_connected_bfs, lambda2, laplacian,
-                       structured_matrix_eigs, symmetric_eigenvalues)
+                       sample_graph, structured_matrix_eigs, symmetric_eigenvalues,
+                       trial_seed)
 
 
 def path_laplacian(n):
@@ -151,7 +151,7 @@ class TestLineGraphMinimum:
         hits = 0
         for seed in range(600):
             n = 5 + seed % 20
-            g = sample_graph(ModelParams(n, 2.5 / n), rng.trial_seed(911, seed))
+            g = sample_graph(ModelParams(n, 2.5 / n), trial_seed(911, seed))
             if is_connected_bfs(g):
                 hits += 1
                 assert lambda2(laplacian(g)) >= line_graph_lambda_min(n) - 1e-9
