@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 None of these is on a path the command line runs. The Laplacian, BFS,
-edge-list parser and writer, scalar trial seeds and order-statistic bounds
-are written apart from the package's code, so a test that compares the two
-checks both; the one-graph sampler draws through
+edge-list parser and writer, scalar trial seeds, per-graph exact table and
+order-statistic bounds are written apart from the package's code, so a test
+that compares the two checks both; the one-graph sampler draws through
 :func:`erunion.rng.rare_pairs` into a :class:`GraphSample`, and the rest are
 plain helpers.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from erunion import ModelParams, ValidationError, eigenvalue_moment, rng
 from erunion.graphs import pair_arrays
 from erunion.moments import _square_moments
+from erunion.spectral import EPS_ZERO
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,33 @@ def lambda2(laplacian_matrix) -> float:
         raise ValidationError("row sums are not zero: not a graph Laplacian")
     w = symmetric_eigenvalues(m)
     return float(w[1])
+
+
+def bitmask_laplacians(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and Laplacians of the 2^M graphs on n nodes, graph b
+    holding pair e of :func:`all_pairs` when bit e of b is set."""
+    pairs = all_pairs(n)
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    adjacency = np.zeros((len(bits), n, n))
+    for e, (i, j) in enumerate(pairs):
+        adjacency[:, i, j] = adjacency[:, j, i] = bits[:, e]
+    lap = -adjacency
+    lap[:, range(n), range(n)] = adjacency.sum(axis=2)
+    return bits.sum(axis=1), lap
+
+
+def per_graph_table(n: int) -> np.ndarray:
+    """The oracle's (8, M+1) table from each graph's own solve: entry (r, m)
+    is the exact sum over the graphs with m edges of row r of (1, tr L^k for
+    k = 1..4, lambda_2, lambda_2^2, connected), lambda_2 taken as 0 where it
+    is at most :data:`erunion.spectral.EPS_ZERO`."""
+    edge_counts, lap = bitmask_laplacians(n)
+    lambda2s = np.linalg.eigvalsh(lap)[:, 1]
+    lambda2s[lambda2s <= EPS_ZERO] = 0.0
+    traces = [np.trace(np.linalg.matrix_power(lap, k), axis1=1, axis2=2) for k in (1, 2, 3, 4)]
+    rows = [np.ones(len(lap)), *traces, lambda2s, lambda2s ** 2, lambda2s > EPS_ZERO]
+    return np.array([[math.fsum(row[edge_counts == m]) for m in range(edge_counts.max() + 1)]
+                     for row in rows])
 
 
 def structured_matrix_eigs(alpha: float, beta: float, n: int) -> tuple[float, float]:

@@ -1,17 +1,34 @@
 """Exact enumeration: weights, hand-checkable values, and union equivalence."""
 import math
 import tracemalloc
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from erunion import (CapabilityError, ModelParams, bound_report, enumerate_exact,
-                     exact_union_report, rng, wilson_interval)
+                     exact_union_report, oracle, rng, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
-from erunion.oracle import _graph_stats, _structure
+from erunion.oracle import _graph_stats, _spectrum_keys, _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
-from reference import all_pairs, edge_masks
+from reference import all_pairs, bitmask_laplacians, edge_masks, per_graph_table
+
+
+@lru_cache(maxsize=None)
+def _lambda2_by_spectrum(n):
+    """50-digit lambda_2 of each spectrum class and its graph counts by edge
+    count. Graphs are grouped by their spectra rounded to 8 places, apart
+    from the package's trace key, and one graph per group is solved."""
+    edge_counts, lap = bitmask_laplacians(n)
+    spectra = np.round(np.linalg.eigvalsh(lap), 8) + 0.0  # -0.0 -> 0.0
+    _, first, group = np.unique(spectra, axis=0, return_index=True, return_inverse=True)
+    with mp.workdps(50):
+        lambda2s = [sorted(mp.eigsy(mp.matrix(lap[b].tolist()), eigvals_only=True))[1]
+                    for b in first]
+    counts = np.zeros((len(first), edge_counts.max() + 1), dtype=np.int64)
+    np.add.at(counts, (group.ravel(), edge_counts), 1)
+    return lambda2s, counts
 
 
 class TestWeights:
@@ -33,6 +50,24 @@ class TestWeights:
                             for m, c in enumerate(counts))
             got = enumerate_exact(ModelParams(n, p)).prob_connected
             assert abs(mp.mpf(got) - exact) / exact <= 1e-15
+
+    @pytest.mark.parametrize("n,p,num", [
+        (5, 1e-4, 1), (5, 5e-4, 1), (5, 0.3, 1), (6, 1e-4, 1), (6, 5e-4, 1), (6, 0.3, 1),
+        (3, 0.3, 1), (3, 0.3, 3), (5, 0.3, 3), (6, 0.3, 3)])
+    def test_lambda2_moments_match_extended_precision(self, n, p, num):
+        # E[lambda_2] and E[lambda_2^2] summed in 50-digit arithmetic from the
+        # same double p_hat; taking a disconnected graph's lambda_2 as the
+        # solver's +-1e-16, not 0, errs by 1.2e-9 relative at (6, 1e-4)
+        rep = exact_union_report(ModelParams(n, p), num)
+        lambda2s, counts = _lambda2_by_spectrum(n)
+        num_pairs = n * (n - 1) // 2
+        with mp.workdps(50):
+            ph = mp.mpf(rep.p)
+            weights = [ph ** m * (1 - ph) ** (num_pairs - m) for m in range(num_pairs + 1)]
+            class_weights = [mp.fsum(int(c) * w for c, w in zip(row, weights)) for row in counts]
+            for got, power in ((rep.expected_lambda2, 1), (rep.expected_lambda2_sq, 2)):
+                exact = mp.fsum(lam ** power * w for lam, w in zip(lambda2s, class_weights))
+                assert abs(mp.mpf(got) - exact) / exact <= 1e-15
 
 
 class TestHandCheckableValues:
@@ -140,6 +175,54 @@ class TestEdgeCountTable:
         finally:
             tracemalloc.stop()
         assert peak <= 2_000_000
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_each_graphs_own_solve(self, n):
+        # the table against one eigvalsh per graph, not one per spectrum
+        table, want = _structure(n), per_graph_table(n)
+        big = table > 1e-12
+        assert np.all(np.abs(table[big] - want[big]) <= 1e-15 * want[big])
+        assert np.array_equal(table[~big], want[~big])
+
+
+class TestSpectrumClasses:
+    @pytest.mark.parametrize("n,solves", [(2, 2), (3, 4), (4, 11), (5, 34), (6, 154)])
+    def test_one_solve_per_spectrum(self, monkeypatch, n, solves):
+        # a cold build solves one graph per distinct Laplacian spectrum
+        sizes, solve = [], oracle.eigenvalue_at
+
+        def recording(stack, k):
+            sizes.append(len(stack))
+            return solve(stack, k)
+
+        monkeypatch.setattr(oracle, "eigenvalue_at", recording)
+        _structure.cache_clear()
+        _structure(n)
+        assert sum(sizes) == solves
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_keys_unpack_to_their_traces(self, n):
+        # any traces 0 <= tr L^k <= (n-1) n^k, the range the key proof needs,
+        # get keys that give them back, so distinct traces never share a key
+        highs = [(n - 1) * n ** k for k in range(1, n)]
+        gen = np.random.default_rng(n)
+        traces = np.array([[0, high, *gen.integers(0, high + 1, 1000)] for high in highs])
+        keys = _spectrum_keys(n, traces.astype(float))
+        for high, trace in zip(highs, traces):
+            keys, digit = np.divmod(keys, high + 1)
+            assert np.array_equal(digit, trace)
+        assert not keys.any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_graphs_sharing_a_key_are_cospectral(self, n):
+        _, lap = bitmask_laplacians(n)
+        traces = np.array([np.trace(np.linalg.matrix_power(lap, k), axis1=1, axis2=2)
+                           for k in range(1, 6)])
+        keys = _spectrum_keys(n, traces)
+        spectra = np.linalg.eigvalsh(lap)
+        for key in np.unique(keys):
+            same = spectra[keys == key]
+            assert np.abs(same - same[0]).max() <= 1e-13
 
 
 class TestUnionReports:
