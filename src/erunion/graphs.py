@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_REAL_TYPES = (int, float, np.floating)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -36,8 +38,8 @@ class ModelParams:
             # the message leaves out n, which may have hundreds of digits
             raise ValidationError("n must be at most 2**53: the closed forms take n "
                                   "as a float64")
-        if not 0.0 < float(self.p) < 1.0:
-            raise ValidationError(f"p must lie in the open interval (0, 1), got {self.p!r}")
+        if not isinstance(self.p, _REAL_TYPES) or not 0.0 < self.p < 1.0:
+            raise ValidationError(f"p must be a real in the open interval (0, 1), got {self.p!r}")
 
     @property
     def q(self) -> float:

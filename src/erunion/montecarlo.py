@@ -62,15 +62,15 @@ with no node of degree n - 1, the only ones that may be solved in full, so
 a chunk of the certified regime, where f is tiny, is bounded by its pairs
 alone. By Harris's inequality the true share is at least f, so a chunk may
 hold more such unions than expected; the n x n Laplacians are therefore
-built and solved in slices of at most :func:`_slice_matrices` unions,
-which bounds the matrices held at once whatever the chunk size. Below
-``DSYEVR_MIN_N`` rows a slice holds about ``_CHUNK_ENTRIES`` entries (512 KB),
-so at least 21 matrices for batched ``eigvalsh``; from there up
-:func:`erunion.spectral.eigenvalue_at` solves one matrix at a time, so a
-slice holds about ``_SLICE_ENTRIES`` entries (1 MB), or one matrix. Each
-eigensolve depends on its own matrix alone, so neither chunks nor slices
-move any result. A slice's pairs are contiguous ranges of the chunk's,
-which the sampler returns sorted by union.
+built and solved in slices of at most :func:`_slice_matrices` unions, each
+released before the next is built: about ``_CHUNK_ENTRIES`` entries (512 KB),
+or one union where its matrix is larger (n >= 182), whatever the chunk size.
+Below ``DSYEVR_MIN_N`` rows that is at least 21 matrices for batched
+``eigvalsh``; from there up :func:`erunion.spectral.eigenvalue_at` solves one
+matrix at a time, and a slice of several spreads the per-slice Python work.
+Each eigensolve depends on its own matrix alone, so neither chunks nor
+slices move any result. A slice's pairs are contiguous ranges of the
+chunk's, which the sampler returns sorted by union.
 The chunks run on a thread pool of min(workers, chunks, usable CPUs)
 threads, which take them in index order; numpy's OpenBLAS runs on one
 thread meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the
@@ -90,21 +90,17 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
-from .spectral import (DSYEVR_MIN_N, EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at,
-                       one_blas_thread)
+from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at, one_blas_thread
 
 Z95 = 1.959963984540054
 
 # eigensolver workspace (Laplacian entries) that caps a chunk at large n
 _EIG_BUDGET = 1 << 22
-# n x n Laplacian entries a slice holds below DSYEVR_MIN_N rows (512 KB of
-# float64, so at least 21 matrices), so that they stay in cache, and that a
-# chunk is expected to build; below 16 trials the per-chunk Python overhead
-# dominates, so a chunk holds at least 16 while _EIG_BUDGET allows
+# n x n Laplacian entries a slice holds (512 KB of float64, at least 21
+# matrices below DSYEVR_MIN_N rows, or one larger one), so that they stay in
+# cache, and that a chunk is expected to build; below 16 trials the per-chunk
+# Python overhead dominates, so a chunk holds at least 16 while _EIG_BUDGET allows
 _CHUNK_ENTRIES = 1 << 16
-# n x n Laplacian entries a slice holds (1 MB of float64) from DSYEVR_MIN_N
-# rows up, where each matrix is solved alone and a slice needs no floor
-_SLICE_ENTRIES = 1 << 17
 # pairs over all of a chunk's unions; a round of the sampler's draws holds at
 # most num_pairs + 1 8-byte draws per trial, so this caps its arrays near 2 MB
 _CHUNK_PAIRS = 1 << 18
@@ -120,7 +116,7 @@ def _usable_cpus() -> int:
 
 def _slice_matrices(n: int) -> int:
     """Unions solved in full whose n x n Laplacians are built and solved at once."""
-    return max(1, (_SLICE_ENTRIES if n >= DSYEVR_MIN_N else _CHUNK_ENTRIES) // (n * n))
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _chunk_trials(n: int, p_hat: float, trials: int) -> int:
@@ -203,9 +199,8 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     union with a node of degree 0 gets 0.0, a union with a node of degree
     n - 1 gets n - lambda_max of its complement's Laplacian on S, and any
     other union is solved in full, in slices of :func:`_slice_matrices`
-    unions. Every eigenvalue comes from
-    :func:`erunion.spectral.eigenvalue_at`. Each value depends on its own
-    union alone.
+    unions, one slice held at a time. Every eigenvalue comes from
+    :func:`erunion.spectral.eigenvalue_at`; each depends on its own union alone.
     """
     unions, n = degrees.shape
     universal = (degrees == n - 1).any(axis=1)
@@ -220,8 +215,8 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
         batch = np.repeat(np.arange(len(at)), counts)
         # each pair's rank in the slice, moved to its union's range
         index = np.arange(len(batch)) + (first[at] - np.cumsum(counts) + counts)[batch]
-        lap = laplacians_from_pairs(batch, a[index], b[index], present, len(at), n)
-        lambda2s[at] = eigenvalue_at(lap, 2)
+        lambda2s[at] = eigenvalue_at(
+            laplacians_from_pairs(batch, a[index], b[index], present, len(at), n), 2)
     rows = np.flatnonzero(universal)
     lambda2s[rows] = n
     if not rows.size:
@@ -296,7 +291,10 @@ def run_mc(config: McConfig) -> McEstimate:
     num_pairs = params.num_pairs
     trials = config.trials
 
-    lambda2s = np.empty(trials)
+    try:  # the per-trial array, before any sampling
+        lambda2s = np.empty(trials)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+        raise CapabilityError(f"trials={trials} needs {8 * trials:.3g} bytes of memory") from exc
     chunk = _chunk_trials(n, p_hat, trials)
     starts = range(0, trials, chunk)
     pool_size = min(config.workers, len(starts), _usable_cpus())

@@ -41,7 +41,7 @@ SPECTRAL_N_CEILING = 2000
 # matrices of at least this many rows are solved for one eigenvalue by
 # dsyevr, and smaller ones by batched eigvalsh; measured per matrix at
 # p = 0.25 and 0.75, dsyevr is the faster from about n = 36 (ROADMAP,
-# Baseline), and the cutoff stays at 56 until ROADMAP item 9 moves it
+# Baseline), and the cutoff stays at 56 until a benchmark run moves it
 DSYEVR_MIN_N = 56
 
 # (get, set) thread-count functions: plain OpenBLAS, then numpy wheels' ILP64 build

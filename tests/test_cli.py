@@ -254,6 +254,13 @@ class TestMc:
         assert code == 3
         assert "error" in err
 
+    def test_trials_beyond_memory_is_a_capability_error(self, capsys):
+        code, out, err = run_cli(capsys, "mc", "--n", "3", "--p", "0.5", "--N", "1",
+                                 "--trials", str(10**17), "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: trials=100000000000000000 needs 8e+17 bytes")
+
     @pytest.mark.parametrize("n, p, num, missing", [
         (8, 0.4, 2, True),     # p_hat = 0.64: the missing pairs are drawn
         (20, 0.05, 2, False),  # p_hat = 0.0975: the present pairs are drawn

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erunion import ModelParams, ValidationError, rng
+from erunion import ModelParams, ValidationError, bound_report, rng
 from erunion.graphs import laplacians_from_pairs
 from erunion.spectral import EPS_ZERO
 from reference import (all_pairs, edge_masks, from_edges, is_connected_bfs, lambda2,
@@ -42,6 +42,17 @@ class TestModelParams:
     def test_invalid(self, n, p):
         with pytest.raises(ValidationError):
             ModelParams(n, p)
+
+    @pytest.mark.parametrize("p", ["0.5", b"0.5", 0.5 + 0j, np.complex128(0.5), None],
+                             ids=["str", "bytes", "complex", "numpy-complex", "None"])
+    def test_p_must_be_real(self, p):
+        # unchecked, a str p would fail only in bound_report, with a TypeError
+        with pytest.raises(ValidationError, match="p must be a real"):
+            ModelParams(5, p)
+
+    @pytest.mark.parametrize("p", [0.5, np.float32(0.5), np.float64(0.5)])
+    def test_real_p_is_accepted(self, p):
+        assert bound_report(ModelParams(5, p), 2) == bound_report(ModelParams(5, 0.5), 2)
 
     @pytest.mark.parametrize("num_graphs", [True, False, 0, 2.0])
     def test_union_size_must_be_a_positive_integer(self, num_graphs):

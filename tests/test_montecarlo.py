@@ -68,6 +68,16 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValidationError):
             run_mc(McConfig(ModelParams(10, 0.5), num_graphs=100, trials=10, master_seed=0))
 
+    @pytest.mark.parametrize("trials", [10**17, 2**64])
+    def test_per_trial_array_beyond_memory_fails_before_sampling(self, monkeypatch, trials):
+        # 8e17 bytes is more than any address space maps, and 2**64 floats
+        # more than numpy indexes, so neither is ever allocated
+        def no_sampling(*args):
+            raise AssertionError("sampled before allocating the per-trial array")
+        monkeypatch.setattr(rng, "rare_pairs", no_sampling)
+        with pytest.raises(CapabilityError, match=f"trials={trials} needs .* bytes"):
+            run_mc(McConfig(ModelParams(3, 0.5), num_graphs=1, trials=trials, master_seed=1))
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             McConfig(ModelParams(5, 0.5), num_graphs=0, trials=10, master_seed=0)
@@ -440,28 +450,32 @@ class TestAboveTheCutoff:
         assert get() == 2
 
     def test_slice_rule(self):
-        # about 1 MB of n x n entries from the cutoff up, with no floor
-        n = 200
-        assert montecarlo._slice_matrices(n) == 2**17 // n**2 == 3
-        assert montecarlo._slice_matrices(DSYEVR_MIN_N) == 2**17 // DSYEVR_MIN_N**2
-        assert montecarlo._slice_matrices(400) == 1
-        # below it about 512 KB for batched eigvalsh: at least 21 matrices
+        # about 512 KB of n x n entries, or one matrix where that is larger
+        for n in (182, 200, 400):
+            assert montecarlo._slice_matrices(n) == 1
+        assert montecarlo._slice_matrices(181) == 2
+        assert montecarlo._slice_matrices(100) == 2**16 // 100**2 == 6
+        assert montecarlo._slice_matrices(DSYEVR_MIN_N) == 2**16 // DSYEVR_MIN_N**2 == 20
+        # below the cutoff, for batched eigvalsh: at least 21 matrices
         assert montecarlo._slice_matrices(DSYEVR_MIN_N - 1) == 2**16 // (DSYEVR_MIN_N - 1)**2 == 21
         assert montecarlo._slice_matrices(10) == 655
         assert montecarlo._slice_matrices(2) == 16384
 
     @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS[:2])
     def test_slices_of_one_match(self, monkeypatch, cfg):
+        # one union per slice at n = 200; slices of one and of three give the
+        # default's bits
         n = cfg.params.n
         calls = _record_seam(monkeypatch)
         base = run_mc(cfg)
         stacks = [shape[0] for shape, k in calls if shape[-1] == n]
-        assert max(stacks) == montecarlo._slice_matrices(n) > 1
-        calls.clear()
-        monkeypatch.setattr(montecarlo, "_slice_matrices", lambda n: 1)
-        assert run_mc(cfg) == base
-        stacks = [shape[0] for shape, k in calls if shape[-1] == n]
-        assert stacks and set(stacks) == {1}
+        assert max(stacks) == montecarlo._slice_matrices(n) == (1 if n == 200 else 6)
+        for size in (1, 3):
+            calls.clear()
+            monkeypatch.setattr(montecarlo, "_slice_matrices", lambda n, size=size: size)
+            assert run_mc(cfg) == base
+            stacks = [shape[0] for shape, k in calls if shape[-1] == n]
+            assert max(stacks) == size
 
     def test_full_solve_is_the_reference_laplacian_bit_for_bit(self):
         cfg = ABOVE_CUTOFF_CONFIGS[1]
@@ -798,6 +812,29 @@ class TestDegreeFirstSolve:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak <= 2 * stack
+
+    def test_full_solve_peak_memory(self):
+        # one chunk of the benchmark's threshold shape (200, 0.007, 4), about
+        # half of whose unions are solved in full, one n x n Laplacian at a time
+        n = 200
+        p_hat, _ = ModelParams(n, 0.007).effective_probabilities(4)
+        chunk = montecarlo._chunk_trials(n, p_hat, 104)
+        masks = edge_masks(rng.trial_seeds_np(1, 0, chunk), n * (n - 1) // 2, p_hat)
+        degrees = _degrees(masks, n)
+        assert ((degrees > 0) & (degrees < n - 1)).all(axis=1).sum() >= 5
+        trial, pair = np.nonzero(masks)
+        i, j = pair_arrays(n)
+        a, b = i[pair], j[pair]
+        # also makes this thread's dsyevr workspace, which outlives the call
+        want = lambda2s_from_pairs(trial, a, b, True, degrees)
+        tracemalloc.start()
+        try:
+            got = lambda2s_from_pairs(trial, a, b, True, degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 1.5 * n * n * 8
 
     @pytest.mark.parametrize("cfg", [
         THRESHOLD_CONFIG,
