@@ -23,32 +23,41 @@ the unions are of this kind. A solve would return rounding noise of about
 every union; the lambda_2 mean, variance and their half-widths may differ
 in their low digits, and only in runs that hold such a trial.
 
-A union with a node of degree n - 1 is solved through its complement graph
-Gc, which is small for the near-complete unions of the paper's certified
+When the missing pairs are sampled (p_hat > 1/2), a union with a node of
+degree n - 1 is solved through its complement graph Gc, whose edges are
+those pairs, few for the near-complete unions of the paper's certified
 regime. Laplacians of complementary graphs sum to nI - J, so on the vectors
 orthogonal to the all-ones vector the spectrum of L(G) is n minus that of
 L(Gc), and lambda_2(G) = n - lambda_max(L(Gc)). L(Gc) is zero on every node
 of degree n - 1 in G and block diagonal over the components of Gc, so
 lambda_max(L(Gc)) is the largest eigenvalue of L(Gc) restricted to S: the
-nodes Gc touches, less those of its isolated edges (two nodes that miss
+nodes of Gc's edges, less those of its isolated edges (two nodes that miss
 each other and nothing else). An isolated edge's block has eigenvalues
 {0, 2}, and a component of 3 or more nodes has a node of degree d >= 2,
 hence lambda_max >= d + 1 >= 3 (Grone-Merris), so S leaves out every
 isolated edge when Gc has such a component, and all but the one at its
-lowest node when Gc is a matching; every value still comes from a solve.
-S has |S| <= n - 1 rows instead of n, about 4 on average at
-(n, p, N) = (50, 0.1, 50) against about 11 for every node Gc touches, and
-none for the complete graph, whose lambda_2 is n. The one Laplacian
-builder (:func:`erunion.graphs.laplacians_from_pairs`) makes every matrix
-from the sampled pairs, with no edge mask: a union solved in full from its
-pairs, and L(Gc) on S from the pairs among S, each node numbered by its
-rank in S, so only unions solved in full get n x n Laplacians. The
-complement Laplacians are stacked in order of |S|, and each |S| is solved
-as one slice of the stack. A union solved through Gc has lambda_2 >= 1, as
-lambda_max(L(Gc)) <= |S|, so the connectivity count is that of the full
-solve, and n - lambda_max does not cancel; the lambda_2 mean, variance and
-their half-widths may move in their low digits (about 1e-14 relative), and
-only in runs that hold such a trial.
+lowest node, its first listed pair, when Gc is a matching; every value
+still comes from a solve. S has |S| <= n - 1 rows instead of n, about 4 on
+average at (n, p, N) = (50, 0.1, 50) against about 11 for every node Gc
+touches, and none for the complete graph, whose lambda_2 is n. When the
+present pairs are sampled (p_hat <= 1/2), such a union is common only at
+tiny n (16 % of the trials at (6, 0.5, 1), 3.4 % at (9, 0.5, 1)) and its
+complement touches almost every node, so that S would hold n - 1.0 to n - 1.3 rows on
+average at n = 6 to 14; it is solved in full like any other union. The one
+Laplacian builder (:func:`erunion.graphs.laplacians_from_pairs`) makes
+every matrix from the sampled pairs, with no edge mask: a union solved in
+full from its pairs, and L(Gc) on S from the missing pairs among S, each
+node numbered by its rank in S, so only unions solved in full get n x n
+Laplacians. The complement Laplacians are stacked in order of |S|, and
+each |S| is solved as one slice of the stack. A union solved through Gc
+has lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|, so the connectivity count
+is that of the full solve, and n - lambda_max does not cancel; the lambda_2
+mean, variance and their half-widths may move in their low digits (about
+1e-14 relative), and only in runs that hold such a trial. So solving the
+rare such unions of p_hat <= 1/2 in full moves only those digits: with
+``--seed 1``, ``mc --n 5 --p 0.5 --N 1 --trials 4000`` prints
+``var_lambda2`` 0.535616611174859, against 0.5356166111748593 with its
+unions of a node of degree n - 1 solved through Gc.
 
 Trials run in chunks of consecutive indices whose size depends on n, p_hat
 and the trial count alone, never on the worker count (:func:`_chunk_trials`).
@@ -58,13 +67,15 @@ expected to build fill about ``_CHUNK_ENTRIES`` entries; and it holds at
 least 16 trials, for the per-chunk overhead, but at most ``_EIG_BUDGET / n^2``
 and the trial count.
 The expected count takes f = (1 - p_hat^(n-1))^n as the share of unions
-with no node of degree n - 1, the only ones that may be solved in full, so
-a chunk of the certified regime, where f is tiny, is bounded by its pairs
-alone. By Harris's inequality the true share is at least f, so a chunk may
-hold more such unions than expected; the n x n Laplacians are therefore
-built and solved in slices of at most :func:`_slice_matrices` unions, each
-released before the next is built: about ``_CHUNK_ENTRIES`` entries (512 KB),
-or one union where its matrix is larger (n >= 182), whatever the chunk size.
+with no node of degree n - 1, the only ones solved in full when
+p_hat > 1/2, so a chunk of the certified regime, where f is tiny, is
+bounded by its pairs alone. By Harris's inequality the true share is at
+least f, and below p_hat = 1/2 the other unions are solved in full too,
+so a chunk may hold more such unions than expected; the n x n Laplacians
+are therefore built and solved in slices of at most :func:`_slice_matrices`
+unions, each released before the next is built: about ``_CHUNK_ENTRIES``
+entries (512 KB), or one union where its matrix is larger (n >= 182),
+whatever the chunk size.
 Below ``DSYEVR_MIN_N`` rows that is at least 21 matrices for batched
 ``eigvalsh``; from there up :func:`erunion.spectral.eigenvalue_at` solves one
 matrix at a time, and a slice of several spreads the per-slice Python work.
@@ -194,16 +205,19 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     Pair k joins nodes ``a[k] != b[k]`` of union ``trial[k]``. The listed
     pairs are present when ``present`` is true and missing otherwise, and
     every other pair is in the other state, as :func:`erunion.rng.rare_pairs`
-    samples them, and the pairs are sorted by union. ``degrees`` holds each
-    union's node degrees, one row per union; they pick each union's path. A
-    union with a node of degree 0 gets 0.0, a union with a node of degree
-    n - 1 gets n - lambda_max of its complement's Laplacian on S, and any
-    other union is solved in full, in slices of :func:`_slice_matrices`
-    unions, one slice held at a time. Every eigenvalue comes from
-    :func:`erunion.spectral.eigenvalue_at`; each depends on its own union alone.
+    samples them, and the pairs are sorted by (union, pair) in lexicographic
+    order. ``degrees`` holds each union's node degrees, one row per union;
+    they pick each union's path. A union with a node of degree 0 gets 0.0;
+    when the missing pairs are listed, a union with a node of degree n - 1
+    gets n - lambda_max of its complement's Laplacian on S, built from its
+    listed pairs; any other union is solved in full, in slices of
+    :func:`_slice_matrices` unions, one slice held at a time. Every
+    eigenvalue comes from :func:`erunion.spectral.eigenvalue_at`; each
+    depends on its own union alone.
     """
     unions, n = degrees.shape
-    universal = (degrees == n - 1).any(axis=1)
+    # only listed missing pairs take the complement path (module doc)
+    universal = (degrees == n - 1).any(axis=1) & (not present)
     full = np.flatnonzero((degrees > 0).all(axis=1) & ~universal)
     lambda2s = np.zeros(unions)
     # the pairs are sorted by union: union u's are first[u]:first[u + 1]
@@ -221,28 +235,18 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     lambda2s[rows] = n
     if not rows.size:
         return lambda2s
-    # each node's missing neighbours; for a node with one, that neighbour is
-    # the other end of its one listed pair when the missing pairs are listed,
-    # and the one node its listed pairs leave out when the present ones are
+    # the listed pairs are the complement's edges; an isolated complement edge
+    # has eigenvalues {0, 2}, below the lambda_max >= 3 of any component of 3
+    # or more nodes, so S keeps none of them, or when the complement is a
+    # matching, the one at its lowest node: its first pair, as they are sorted
     missing = n - 1 - degrees
-    one = missing == 1
-    row = trial * n
-    ends = (np.bincount(row + a, weights=b, minlength=unions * n)
-            + np.bincount(row + b, weights=a, minlength=unions * n)).reshape(-1, n)
-    nodes = np.arange(n)
-    if present:
-        ends = n * (n - 1) // 2 - nodes - ends
-    partner = np.where(one, ends, 0).astype(np.int64)
-    row_start = np.arange(0, unions * n, n)[:, None]
-    isolated = one & (missing.reshape(-1)[row_start + partner] == 1)
-    # an isolated complement edge has eigenvalues {0, 2}, below the lambda_max
-    # >= 3 of any component of 3 or more nodes, so S keeps none of them, or
-    # when the complement is a matching, the one at its lowest node
-    matching = (missing < 2).all(axis=1)
-    lowest = np.argmax(missing > 0, axis=1)
-    kept = matching[:, None] & (np.minimum(nodes, partner) == lowest[:, None])
-    # S, the nodes left, numbered in ascending order
-    in_s = universal[:, None] & (missing > 0) & ~(isolated & ~kept)
+    isolated = (missing[trial, a] == 1) & (missing[trial, b] == 1)
+    leading = (missing < 2).all(axis=1)[trial] & (np.arange(len(trial)) == first[trial])
+    kept = universal[trial] & (~isolated | leading)
+    t, u, v = trial[kept], a[kept], b[kept]
+    # S, the nodes of the kept pairs, numbered in ascending order
+    in_s = np.zeros((unions, n), dtype=bool)
+    in_s[t, u] = in_s[t, v] = True
     rank = np.cumsum(in_s, axis=1) - 1
     sizes = rank[rows, -1] + 1
     # the unions by |S|, so that each |S| is one slice of the stack
@@ -251,16 +255,7 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     size_max = sizes[-1]
     position = np.empty(unions, dtype=np.int64)
     position[rows] = np.arange(len(rows))
-    # the listed pairs among S, by rank, are in the other state in the
-    # complement; a pair with a node of degree n - 1 is present in the union
-    k = in_s[trial, a] & in_s[trial, b]
-    t = trial[k]
-    batch, u, v = position[t], rank[t, a[k]], rank[t, b[k]]
-    sub = laplacians_from_pairs(batch, u, v, not present, len(rows), size_max)
-    if present:
-        # the builder took each pair past a union's |S| as present in Gc; off
-        # its degrees, each union's leading |S| x |S| block is L(Gc) on S
-        sub.reshape(len(rows), size_max**2)[:, ::size_max + 1] -= (size_max - sizes)[:, None]
+    sub = laplacians_from_pairs(position[t], rank[t, u], rank[t, v], True, len(rows), size_max)
     # the builder's -0.0 of a missing pair becomes the +0.0 of (nI - J - L)[S, S]
     sub += 0.0
     # each |S| is its own batch, so that no union's submatrix is padded by its

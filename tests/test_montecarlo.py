@@ -1,5 +1,6 @@
 """Monte-Carlo harness: determinism, agreement with BFS, bound coverage."""
 import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -134,9 +135,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 4, 16])
     def test_worker_count_does_not_change_results(self, monkeypatch, workers):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
-        base = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=1))
-        other = run_mc(McConfig(ModelParams(14, 0.25), 2, 2000, 12345, workers=workers))
-        assert base == other
+        # at (5, 0.5, 1) the present pairs are sampled, and a quarter of the
+        # unions have a node of degree n - 1 and are solved in full
+        for cfg in (McConfig(ModelParams(14, 0.25), 2, 2000, 12345),
+                    McConfig(ModelParams(5, 0.5), 1, 4000, 12345)):
+            assert run_mc(dataclasses.replace(cfg, workers=workers)) == run_mc(cfg)
 
     def test_many_blocks_match_one_block(self, monkeypatch):
         base = run_mc(THRESHOLD_CONFIG)
@@ -557,12 +560,13 @@ def _lambda2s(masks, degrees, present=True):
 
 
 def _solve_atol(mask, n):
-    """Tolerance on the lambda_2 of a union: 16 eps ||M|| for the matrix M it is
-    solved on, where ||M|| <= 2 rows. M is the complement's Laplacian on S
-    when some node has degree n - 1, taken here on every node the complement
-    touches, which bounds it whichever isolated edges S leaves out, else the
-    n x n Laplacian; LAPACK's eigenvalue error is a small multiple of eps ||M||
-    (4.5e-13 for the 200-node star, solved on 199 rows)."""
+    """Tolerance on the lambda_2 of a union solved from its missing pairs:
+    16 eps ||M|| for the matrix M it is solved on, where ||M|| <= 2 rows. M is
+    the complement's Laplacian on S when some node has degree n - 1, taken
+    here on every node the complement touches, which bounds it whichever
+    isolated edges S leaves out, else the n x n Laplacian; LAPACK's eigenvalue
+    error is a small multiple of eps ||M|| (4.5e-13 for the 200-node star,
+    solved on 199 rows)."""
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[pair_arrays(n)] = mask
     degrees = (adj + adj.T).sum(axis=1)
@@ -602,22 +606,40 @@ def _closed_forms(family, n):
     raise ValueError(family)
 
 
+def _full_solves(masks, n):
+    """lambda_2 of each union solved in full from its reference Laplacian,
+    or 0.0 for a union with a node of degree 0."""
+    solved = (_degrees(masks, n) > 0).all(axis=1)
+    values = np.zeros(len(masks))
+    values[solved] = eigenvalue_at(_reference_laplacians(masks[solved], n), 2)
+    return values
+
+
 def _assert_closed_forms(masks, expected, n):
+    """lambda_2 of a batch of edge masks from their missing pairs, which solve
+    a union with a node of degree n - 1 through its complement, each within
+    its solve's tolerance of the closed form; from their present pairs every
+    union is the full solve, bit for bit. Returns the former."""
     stacked = np.stack(masks)
     degrees = _degrees(stacked, n)
-    got = _lambda2s(stacked, degrees)
-    assert np.array_equal(got, _lambda2s(stacked, degrees, present=False))
+    got = _lambda2s(stacked, degrees, present=False)
     for mask, want, value in zip(masks, expected, got):
         assert value == pytest.approx(want, abs=_solve_atol(mask, n))
+    assert np.array_equal(_lambda2s(stacked, degrees), _full_solves(stacked, n))
     return got
 
 
 class TestComplementReduction:
     @pytest.mark.parametrize("n", [2] + CLOSED_FORM_NS)
-    def test_complete_graph_gives_n(self, n):
+    def test_complete_graph_gives_n(self, monkeypatch, n):
+        # K_n misses no pair, so it gets n with no solve; from its present
+        # pairs it is solved in full
         mask = _complete_minus(n, [])[None, :]
-        got = _lambda2s(mask, _degrees(mask, n))
-        assert got.tolist() == [float(n)]
+        degrees = _degrees(mask, n)
+        calls = _record_seam(monkeypatch)
+        assert _lambda2s(mask, degrees, present=False).tolist() == [float(n)]
+        assert calls == []
+        assert np.array_equal(_lambda2s(mask, degrees), _full_solves(mask, n))
 
     @pytest.mark.parametrize("family", ["one edge", "star", "path", "perfect matching"])
     @pytest.mark.parametrize("n", CLOSED_FORM_NS)
@@ -642,9 +664,12 @@ class TestComplementReduction:
         masks, expected = zip(*cases)
         got = _assert_closed_forms(masks, expected, n)
         assert got[-1] == 0.0
-        alone = np.concatenate([_lambda2s(m[None, :], _degrees(m[None, :], n))
-                                for m in masks])
-        assert np.array_equal(got, alone)
+        stacked = np.stack(masks)
+        degrees = _degrees(stacked, n)
+        for present in (False, True):
+            alone = np.concatenate([_lambda2s(m[None, :], _degrees(m[None, :], n), present)
+                                    for m in masks])
+            assert np.array_equal(_lambda2s(stacked, degrees, present), alone)
 
     @pytest.mark.parametrize("family, rows", [("matching", 2), ("path", 3), ("star", 4)])
     @pytest.mark.parametrize("n", [12, 50, 51, 200])
@@ -664,8 +689,9 @@ class TestComplementReduction:
         mask = _complete_minus(n, removed)
         calls = _record_seam(monkeypatch)
         got = _assert_closed_forms([mask], [want], n)
-        # one solve per state, on the component that holds lambda_max alone
-        assert calls == [((1, rows, rows), rows)] * 2
+        # from the missing pairs, one solve on the component that holds
+        # lambda_max alone; from the present ones, one full solve
+        assert calls == [((1, rows, rows), rows), ((1, n, n), 2)]
         assert got.tolist() == [want]
 
     def test_rows_per_solve_at_the_certified_regime(self, monkeypatch):
@@ -720,6 +746,27 @@ class TestComplementShortcut:
         assert est.prob_connected == sum(map(is_connected_bfs, graphs)) / cfg.trials
 
 
+# p_hat <= 1/2: the sampled pairs are the present ones, and a union with a
+# node of degree n - 1 is rare (about 1.5 % and 1e-4 of them)
+PRESENT_UNIVERSAL_SHAPES = [(6, 0.3, 1, 10_000), (8, 0.2, 1, 1_000_000)]
+
+
+@functools.lru_cache(maxsize=None)
+def _universal_masks(n, p, num_graphs, trials):
+    """Edge masks of the unions with a node of degree n - 1 among trials
+    0..trials-1 of seed 6; trial t is sample_union(params, N, trial_seed(6, t))."""
+    params = ModelParams(n, p)
+    p_hat, _ = params.effective_probabilities(num_graphs)
+    kept = []
+    for start in range(0, trials, 20_000):
+        seeds = rng.trial_seeds_np(6, start, min(20_000, trials - start))
+        masks = edge_masks(seeds, params.num_pairs, p_hat)
+        kept.append(masks[(_degrees(masks, n) == n - 1).any(axis=1)])
+    masks = np.concatenate(kept)
+    masks.flags.writeable = False
+    return masks
+
+
 class TestDegreeFirstSolve:
     @pytest.mark.parametrize("cfg", [
         DENSE_CONFIG,
@@ -746,45 +793,42 @@ class TestDegreeFirstSolve:
         _lambda2s(masks, degrees, present=not rng.missing_is_rare(p_hat))
         assert sum(rows for rows, size in calls if size == n) == solved_in_full
 
-    @pytest.mark.parametrize("shape", [
-        (30, 0.5, 3, 1000),
-        (10, 0.6, 1, 1000),
-        # p_hat <= 1/2: the sampled pairs are the present ones, and a union
-        # with a node of degree n - 1 is rare (about 1.5 % and 1e-4 of them)
-        (6, 0.3, 1, 10_000),
-        (8, 0.2, 1, 1_000_000),
-    ])
+    @pytest.mark.parametrize("shape", [(30, 0.5, 3, 1000), (10, 0.6, 1, 1000)]
+                             + PRESENT_UNIVERSAL_SHAPES)
     def test_complement_solve_is_the_submatrix_formula_bit_for_bit(self, shape):
-        n, p, num_graphs, trials = shape
-        params = ModelParams(n, p)
-        p_hat, _ = params.effective_probabilities(num_graphs)
-        # trial t is sample_union(params, N, trial_seed(6, t)); keep the unions
-        # with a node of degree n - 1
-        kept = []
-        for start in range(0, trials, 20_000):
-            seeds = rng.trial_seeds_np(6, start, min(20_000, trials - start))
-            masks = edge_masks(seeds, params.num_pairs, p_hat)
-            kept.append(masks[(_degrees(masks, n) == n - 1).any(axis=1)])
-        masks = np.concatenate(kept)
+        n = shape[0]
+        p_hat, _ = ModelParams(n, shape[1]).effective_probabilities(shape[2])
+        masks = _universal_masks(*shape)
         degrees = _degrees(masks, n)
-        got = [_lambda2s(masks, degrees, present) for present in (True, False)]
+        got = _lambda2s(masks, degrees, present=False)
+        # from their present pairs the same unions are solved in full
+        assert np.array_equal(_lambda2s(masks, degrees), _full_solves(masks, n))
 
         reduced = 0
-        for mask, lap, *values in zip(masks, _reference_laplacians(masks, n), *got):
+        for mask, lap, value in zip(masks, _reference_laplacians(masks, n), got):
             comp = n * np.eye(n) - np.ones((n, n)) - lap
             s = _reduced_s(comp)
             want = n - np.linalg.eigvalsh(comp[s][:, s])[-1] if s else float(n)
-            assert values == [want, want]
+            assert value == want
             # the S of every node the complement touches gives the same value
             # within the solver's tolerance
             s_full = np.flatnonzero(np.diag(comp) > 0)
             reduced += len(s) < len(s_full)
             if s_full.size:
                 old = n - np.linalg.eigvalsh(comp[s_full][:, s_full])[-1]
-                assert values[0] == pytest.approx(old, abs=_solve_atol(mask, n))
+                assert value == pytest.approx(old, abs=_solve_atol(mask, n))
         assert len(masks) >= 50
         if p_hat > 0.8:  # 20 of the 447 unions at p_hat = 0.875 leave out an edge
             assert reduced > 0
+
+    @pytest.mark.parametrize("shape", PRESENT_UNIVERSAL_SHAPES)
+    def test_present_state_solves_universal_unions_in_full(self, monkeypatch, shape):
+        n = shape[0]
+        masks = _universal_masks(*shape)
+        calls = _record_seam(monkeypatch)
+        got = _lambda2s(masks, _degrees(masks, n))
+        assert np.array_equal(got, np.linalg.eigvalsh(_reference_laplacians(masks, n))[:, 1])
+        assert calls and all(stack[-1] == n for stack, k in calls)
 
     def test_complement_solve_peak_memory(self):
         # one chunk of (30, 0.5, 4): p_hat = 0.9375, and almost every union
