@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="worker threads, at most one per usable CPU, sharing the "
-                           "trial chunks on one OpenBLAS thread (default: 1)")
+                      help="workers, at most one per usable CPU: the calling thread and "
+                           "W - 1 more, sharing the trial chunks on one OpenBLAS thread "
+                           "(default: 1)")
     p_mc.add_argument("--json", action="store_true")  # JSON is already the output format
     p_mc.add_argument("--dump-graphs", metavar="DIR", default=None,
                       help="write each trial's union graph as an edge-list file (debugging)")

@@ -63,18 +63,31 @@ class ModelParams:
         if num_graphs == 1:
             return self.p, self.q
         log_q = math.log1p(-self.p)
-        p_hat = -math.expm1(num_graphs * log_q)
+        try:
+            exponent = num_graphs * log_q
+        except OverflowError:  # N beyond float range; the message leaves out its digits
+            raise ValidationError(
+                f"effective probability degenerates in double precision "
+                f"(p={self.p}, N beyond float range gives p_hat=1.0)") from None
+        p_hat = -math.expm1(exponent)
         if not 0.0 < p_hat < 1.0:
             raise ValidationError(
                 f"effective probability degenerates in double precision "
                 f"(p={self.p}, N={num_graphs} gives p_hat={p_hat})")
-        return p_hat, math.exp(num_graphs * log_q)
+        return p_hat, math.exp(exponent)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic pair endpoints as two index arrays (row, col)."""
-    return np.triu_indices(n, 1)
+    """Lexicographic pair endpoints as two int32 index arrays (row, col).
+
+    int32 halves the cached index and every endpoint gather against int64: an
+    entry is 4 n (n - 1) bytes, 155 KB at n = 200 and 16 MB at n = 2000. It
+    is safe up to the dense eigensolver's ceiling, n = 2000: every index is
+    below n, and a flat index into one n x n matrix below n^2 = 4e6 < 2^31.
+    The cache keeps the last 4 n asked for.
+    """
+    return tuple(index.astype(np.int32) for index in np.triu_indices(n, 1))
 
 
 def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, present: bool,

@@ -82,15 +82,19 @@ matrix at a time, and a slice of several spreads the per-slice Python work.
 Each eigensolve depends on its own matrix alone, so neither chunks nor
 slices move any result. A slice's pairs are contiguous ranges of the
 chunk's, which the sampler returns sorted by union.
-The chunks run on a thread pool of min(workers, chunks, usable CPUs)
-threads, which take them in index order; numpy's OpenBLAS runs on one
-thread meanwhile (:func:`erunion.spectral.one_blas_thread`) so that the
-workers' solves do not oversubscribe the cores. A pool of one thread is the
-plain loop, and keeps the BLAS threads for ``eigvalsh``; ``dsyevr`` solves
-run on one BLAS thread in either case, as their bits depend on the count.
+The chunks run on W = min(workers, chunks, usable CPUs) workers: the
+calling thread and W - 1 helper threads run the same loop, taking chunks in
+trial order from one shared iterator. A new thread fills a malloc arena of
+its own with its chunks' arrays, about 1.1 MB of peak RSS at (200, 0.007, 4),
+so the calling thread works rather than waits. While helpers run, numpy's
+OpenBLAS runs on one thread (:func:`erunion.spectral.one_blas_thread`) so
+that the workers' solves do not oversubscribe the cores; with none, the BLAS
+threads stay for ``eigvalsh``. ``dsyevr`` solves run on one BLAS thread in
+either case, as their bits depend on the count.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -291,8 +295,8 @@ def run_mc(config: McConfig) -> McEstimate:
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
         raise CapabilityError(f"trials={trials} needs {8 * trials:.3g} bytes of memory") from exc
     chunk = _chunk_trials(n, p_hat, trials)
-    starts = range(0, trials, chunk)
-    pool_size = min(config.workers, len(starts), _usable_cpus())
+    chunks = range(0, trials, chunk)
+    pool_size = min(config.workers, len(chunks), _usable_cpus())
     i, j = pair_arrays(n)
     present = not rng.missing_is_rare(p_hat)
 
@@ -309,12 +313,23 @@ def run_mc(config: McConfig) -> McEstimate:
         degrees = counts if present else n - 1 - counts
         lambda2s[start:stop] = lambda2s_from_pairs(trial, a, b, present, degrees)
 
-    if pool_size == 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(run_chunk, starts))
+    # the calling thread and pool_size - 1 helpers take the chunks, in trial
+    # order, from one iterator; a chunk's arrays go when run_chunk returns
+    starts = iter(chunks)
+
+    def run_chunks() -> None:
+        for start in starts:
+            run_chunk(start)
+
+    with contextlib.ExitStack() as stack:
+        helpers = []
+        if pool_size > 1:
+            stack.enter_context(one_blas_thread())
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=pool_size - 1))
+            helpers = [pool.submit(run_chunks) for _ in range(pool_size - 1)]
+        run_chunks()
+        for helper in helpers:
+            helper.result()
 
     mean = float(np.sum(lambda2s)) / trials
     if trials > 1:

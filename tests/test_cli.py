@@ -104,6 +104,21 @@ def test_n_beyond_float64_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["probbound", "--n", "10", "--p", "0.1", "--N", str(10**400)],
+    ["mc", "--n", "10", "--p", "0.1", "--N", str(10**400), "--trials", "5", "--seed", "0"],
+    ["oracle", "--n", "4", "--p", "0.1", "--N", str(10**400)],
+])
+def test_union_size_beyond_float_range_is_a_domain_error(capsys, argv):
+    # N log(1 - p) overflows a float, as p_hat rounds to 1 from N ~ 1e5 here
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: effective probability degenerates")
+    assert err.count("\n") == 1
+    assert len(err) <= 120
+
+
+@pytest.mark.parametrize("argv", [
     ["tables", "2", "--precision", "-1"],
     ["probbound", "--n", "50", "--p", "0.05", "--N", "50", "--precision", "-2"],
     # a float64 has at most 1074 decimals, so more would print only zeros

@@ -2,6 +2,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erunion import ModelParams, ValidationError, bound_report, rng
-from erunion.graphs import laplacians_from_pairs
+from erunion.graphs import laplacians_from_pairs, pair_arrays
 from erunion.spectral import EPS_ZERO
 from reference import (all_pairs, edge_masks, from_edges, is_connected_bfs, lambda2,
                        laplacian, num_edges, read_edgelist, sample_graph, sample_union,
@@ -58,6 +59,33 @@ class TestModelParams:
     def test_union_size_must_be_a_positive_integer(self, num_graphs):
         with pytest.raises(ValidationError):
             ModelParams(5, 0.5).effective_probabilities(num_graphs)
+
+    def test_union_size_beyond_float_range_degenerates(self):
+        # N log(1 - p) overflows a float; the message leaves out N's 401 digits
+        with pytest.raises(ValidationError, match="degenerates in double precision") as exc:
+            ModelParams(5, 0.5).effective_probabilities(10**400)
+        assert len(str(exc.value)) <= 120
+
+
+class TestPairArrays:
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    def test_int32_in_lexicographic_order(self, n):
+        i, j = pair_arrays(n)
+        assert i.dtype == j.dtype == np.int32
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+    def test_cache_retains_bounded_memory(self):
+        # a sweep over 40 n near 400 keeps a few entries of 4 n (n - 1) bytes,
+        # not all 40 (28 MB)
+        tracemalloc.start()
+        try:
+            for n in range(400, 440):
+                pair_arrays(n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 8 * 4 * 439 * 438
 
 
 class TestSampling:

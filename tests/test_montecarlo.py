@@ -2,9 +2,11 @@
 import dataclasses
 import functools
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from statistics import NormalDist
 
 import mpmath as mp
@@ -204,7 +206,8 @@ def _count_blocks(monkeypatch) -> list[tuple[int, int]]:
 
 
 class _RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers, runs map inline."""
+    """Stands in for ThreadPoolExecutor: records max_workers, runs each
+    submitted call inline."""
 
     def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
@@ -215,8 +218,10 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.fixture
@@ -271,7 +276,52 @@ class TestChunks:
         chunks = len(counts)
         assert chunks == 46
         size = min(cfg.workers, chunks, cpus)
-        assert pool_sizes == ([] if size == 1 else [size])
+        # the calling thread is one of the size workers
+        assert pool_sizes == ([] if size == 1 else [size - 1])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calling_thread_runs_chunks_beside_helpers(self, monkeypatch, workers):
+        # W workers are the calling thread and W - 1 started threads
+        n = THRESHOLD_CONFIG.params.n
+        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 chunks of <= 7
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        base = run_mc(THRESHOLD_CONFIG)
+        started, on_main = [], []
+        start, trial_seeds_np = threading.Thread.start, rng.trial_seeds_np
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def recording(master_seed, first, count):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return trial_seeds_np(master_seed, first, count)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(rng, "trial_seeds_np", recording)
+        assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
+        assert len(on_main) == 43
+        assert len(started) == workers - 1
+        assert any(on_main)
+
+    def test_each_chunk_runs_once_under_thread_switching(self, monkeypatch):
+        # six workers on two cores switching every microsecond share the one
+        # iterator of chunk starts: none is skipped or taken twice
+        n = THRESHOLD_CONFIG.params.n
+        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 6)
+        base = run_mc(THRESHOLD_CONFIG)
+        counts = _count_blocks(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=6))
+        finally:
+            sys.setswitchinterval(interval)
+        trials = THRESHOLD_CONFIG.trials
+        assert sorted(counts) == [(start, min(7, trials - start))
+                                  for start in range(0, trials, 7)]
+        assert est == base
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         assert montecarlo._usable_cpus() >= 1
@@ -384,7 +434,8 @@ class TestOneBlasThreadInPool:
                 run_mc(cfg)
         else:
             run_mc(cfg)
-        assert seen and seen == [(False, 1)] * len(seen)
+        # the calling thread solves too, on the same one BLAS thread
+        assert seen and all(count == 1 for _, count in seen)
         assert get() == 2
 
     @pytest.mark.parametrize("fail", [False, True])
@@ -449,7 +500,9 @@ class TestAboveTheCutoff:
                 run_mc(cfg)
         else:
             run_mc(cfg)
-        assert seen and seen == [(workers == 1, 1)] * len(seen)
+        assert seen and all(count == 1 for _, count in seen)
+        if workers == 1:
+            assert all(main for main, _ in seen)
         assert get() == 2
 
     def test_slice_rule(self):

@@ -78,15 +78,28 @@ def test_spectral_is_the_one_door_to_lapack():
     assert maps == []
 
 
-def test_one_route_from_seed_to_graph():
-    # only run_mc and mc --dump-graphs turn a trial's seed into its graph, and
-    # both through the same two calls
+def _calls(names) -> list[str]:
+    """file:line of each call, in the package's modules, of a function or
+    attribute with one of the given names."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("rare_pairs", "trial_seeds_np"):
+                if name in names:
                     callers.append(f"{path.name}:{node.lineno}")
+    return callers
+
+
+def test_one_route_from_seed_to_graph():
+    # only run_mc and mc --dump-graphs turn a trial's seed into its graph, and
+    # both through the same two calls
+    callers = _calls(("rare_pairs", "trial_seeds_np"))
     assert {where.split(":")[0] for where in callers} == {"montecarlo.py", "cli.py"}, callers
+
+
+def test_one_place_starts_threads():
+    # run_mc's helper pool is the package's only source of threads
+    starts = _calls(("ThreadPoolExecutor", "Thread"))
+    assert len(starts) == 1 and starts[0].startswith("montecarlo.py:"), starts
