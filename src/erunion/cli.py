@@ -9,7 +9,6 @@ forms). Every subcommand supports ``--json``. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -159,8 +158,8 @@ def _cmd_mc(args) -> int:
     payload = {
         "config": {"n": args.n, "p": args.p, "num_graphs": args.N,
                    "trials": args.trials, "master_seed": args.seed},
-        "estimate": dataclasses.asdict(estimate),
-        "bounds": {**dataclasses.asdict(report), "n_min": _printed_size(report.n_min)},
+        "estimate": vars(estimate),
+        "bounds": {**vars(report), "n_min": _printed_size(report.n_min)},
     }
     _dump_json(payload)
     return EXIT_OK

@@ -61,11 +61,12 @@ unions of a node of degree n - 1 solved through Gc.
 
 Trials run in chunks of consecutive indices whose size depends on n, p_hat
 and the trial count alone, never on the worker count (:func:`_chunk_trials`).
-A chunk is bounded three ways: its unions hold at most ``_CHUNK_PAIRS``
-pairs, which caps the sampler's draw arrays; the n x n Laplacians it is
-expected to build fill about ``_CHUNK_ENTRIES`` entries; and it holds at
-least 16 trials, for the per-chunk overhead, but at most ``_EIG_BUDGET / n^2``
-and the trial count.
+One cap holds for every chunk: its unions hold at most ``_CHUNK_PAIRS``
+(2^18) pairs, which caps the sampler's draw arrays, or one union's
+n(n - 1)/2 pairs from n = 725 up. Within that cap a chunk holds no more
+unions than are expected to build about ``_CHUNK_ENTRIES`` entries of n x n
+Laplacians, but at least 16, for the per-chunk overhead, and never more
+than the trial count.
 The expected count takes f = (1 - p_hat^(n-1))^n as the share of unions
 with no node of degree n - 1, the only ones solved in full when
 p_hat > 1/2, so a chunk of the certified regime, where f is tiny, is
@@ -109,15 +110,15 @@ from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at, one_blas_thre
 
 Z95 = 1.959963984540054
 
-# eigensolver workspace (Laplacian entries) that caps a chunk at large n
-_EIG_BUDGET = 1 << 22
 # n x n Laplacian entries a slice holds (512 KB of float64, at least 21
 # matrices below DSYEVR_MIN_N rows, or one larger one), so that they stay in
 # cache, and that a chunk is expected to build; below 16 trials the per-chunk
-# Python overhead dominates, so a chunk holds at least 16 while _EIG_BUDGET allows
+# Python overhead dominates, so this bound leaves a chunk at least 16 trials
+# where _CHUNK_PAIRS allows that many
 _CHUNK_ENTRIES = 1 << 16
-# pairs over all of a chunk's unions; a round of the sampler's draws holds at
-# most num_pairs + 1 8-byte draws per trial, so this caps its arrays near 2 MB
+# pairs over all of a chunk's unions, the one hard cap on a chunk of two or
+# more trials; a round of the sampler's draws holds at most num_pairs + 1
+# 8-byte draws per trial, so this caps its arrays near 2 MB
 _CHUNK_PAIRS = 1 << 18
 
 
@@ -136,12 +137,11 @@ def _slice_matrices(n: int) -> int:
 
 def _chunk_trials(n: int, p_hat: float, trials: int) -> int:
     """Trials per chunk at n nodes and edge probability p_hat (module doc)."""
-    chunk = _CHUNK_PAIRS // (n * (n - 1) // 2)
+    pairs = _CHUNK_PAIRS // (n * (n - 1) // 2)
     # n x n entries a trial is expected to build; 0 when f underflows
     built = n * n * (1.0 - p_hat ** (n - 1)) ** n
-    if built * chunk > _CHUNK_ENTRIES:
-        chunk = int(_CHUNK_ENTRIES / built)
-    return max(1, min(trials, _EIG_BUDGET // (n * n), max(16, chunk)))
+    chunk = pairs if built * pairs <= _CHUNK_ENTRIES else max(16, int(_CHUNK_ENTRIES / built))
+    return max(1, min(trials, pairs, chunk))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ THRESHOLD_CONFIG = McConfig(ModelParams(40, 0.05), num_graphs=2, trials=300,
 # others and is solved through its complement
 DENSE_CONFIG = McConfig(ModelParams(30, 0.5), num_graphs=6, trials=300, master_seed=6)
 
-# solved by dsyevr: the threshold shape of the benchmark (7 chunks of <= 16
+# solved by dsyevr: the threshold shape of the benchmark (8 chunks of <= 13
 # trials), a denser n = 100 one (6 chunks of 16) and p_hat = 0.969 at
 # n = 100, where almost every union is solved on a complement of 89 to 99 nodes
 ABOVE_CUTOFF_CONFIGS = [
@@ -145,8 +145,8 @@ class TestDeterminism:
 
     def test_many_blocks_match_one_block(self, monkeypatch):
         base = run_mc(THRESHOLD_CONFIG)
-        n = THRESHOLD_CONFIG.params.n
-        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 blocks of <= 7
+        pairs = THRESHOLD_CONFIG.params.num_pairs
+        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 7 * pairs)  # 43 blocks of <= 7
         for workers in (1, 2, 4):
             assert run_mc(dataclasses.replace(THRESHOLD_CONFIG, workers=workers)) == base
 
@@ -256,9 +256,9 @@ class TestChunks:
         assert [c for _, c in counts] == [3]
         assert pool_sizes == []  # a pool of one thread is the serial loop
 
-    def test_eig_budget_caps_the_chunk(self, monkeypatch):
-        n = THRESHOLD_CONFIG.params.n
-        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 5 * n * n + n)
+    def test_pair_cap_caps_the_chunk(self, monkeypatch):
+        pairs = THRESHOLD_CONFIG.params.num_pairs
+        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 5 * pairs)
         counts = _count_blocks(monkeypatch)
         run_mc(THRESHOLD_CONFIG)
         assert max(c for _, c in counts) == 5
@@ -282,8 +282,8 @@ class TestChunks:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_calling_thread_runs_chunks_beside_helpers(self, monkeypatch, workers):
         # W workers are the calling thread and W - 1 started threads
-        n = THRESHOLD_CONFIG.params.n
-        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)  # 43 chunks of <= 7
+        pairs = THRESHOLD_CONFIG.params.num_pairs
+        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 7 * pairs)  # 43 chunks of <= 7
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         base = run_mc(THRESHOLD_CONFIG)
         started, on_main = [], []
@@ -307,8 +307,8 @@ class TestChunks:
     def test_each_chunk_runs_once_under_thread_switching(self, monkeypatch):
         # six workers on two cores switching every microsecond share the one
         # iterator of chunk starts: none is skipped or taken twice
-        n = THRESHOLD_CONFIG.params.n
-        monkeypatch.setattr(montecarlo, "_EIG_BUDGET", 7 * n * n)
+        pairs = THRESHOLD_CONFIG.params.num_pairs
+        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 7 * pairs)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 6)
         base = run_mc(THRESHOLD_CONFIG)
         counts = _count_blocks(monkeypatch)
@@ -337,7 +337,7 @@ class TestChunks:
     @pytest.mark.parametrize("shape, trials, chunk", [
         ((50, 0.1, 50), 136, 136),  # certified regime: bounded by the pairs alone
         ((50, 0.1, 50), 10_000, 2**18 // 1225),
-        ((200, 0.007, 4), 104, 16),
+        ((200, 0.007, 4), 104, 2**18 // 19900),  # the pair cap, below the 16-trial floor
         ((50, 0.5, 1), 200, 26),
         ((40, 0.05, 2), THRESHOLD_CONFIG.trials, 40),
         ((30, 0.5, 4), 2000, 2**18 // 435),
@@ -363,6 +363,28 @@ class TestChunks:
         assert est.trials == 20
         assert isinstance(chunk, int) and chunk >= 16
         assert chunk <= montecarlo._CHUNK_PAIRS // (n * (n - 1) // 2)
+
+    def test_pair_cap_holds_at_every_size(self):
+        # a chunk of two or more unions holds at most _CHUNK_PAIRS pairs, also
+        # where 16 unions would exceed them (n >= 182)
+        for n in range(2, 2001):
+            pairs = n * (n - 1) // 2
+            for p_hat in (1e-300, 1e-3, 0.0277, 0.5, 0.9, 1 - 2**-52):
+                for trials in (1, 104, 10**9):
+                    chunk = montecarlo._chunk_trials(n, p_hat, trials)
+                    assert chunk == 1 or chunk * pairs <= montecarlo._CHUNK_PAIRS
+
+    def test_large_union_peak_memory(self):
+        # n = 400: chunks of 3 unions of 79,800 pairs each, not 16
+        cfg = McConfig(ModelParams(400, 0.5), 1, trials=32, master_seed=1)
+        tracemalloc.start()
+        try:
+            est = run_mc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 32
+        assert peak <= 10 * 2**20
 
 
 class TestFullSolveSlices:
