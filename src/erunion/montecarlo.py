@@ -18,10 +18,9 @@ end nodes count the present pairs at each node, or the missing ones, whose
 count subtracted from n - 1 is the degree. The degrees pick each union's
 path. A union with a node of degree 0 is disconnected, so its lambda_2 is
 exactly 0.0 with no eigensolve; near the connectivity threshold about half
-the unions are of this kind. A solve would return rounding noise of about
-1e-15, below ``EPS_ZERO``, so the connectivity frequency is that of solving
-every union; the lambda_2 mean, variance and their half-widths may differ
-in their low digits, and only in runs that hold such a trial.
+the unions are of this kind. A union solved in full whose lambda_2 comes
+out at most ``EPS_ZERO`` (the solver's rounding noise on a disconnected
+union) gets 0.0 too, so the shortcut gives exactly what a solve gives.
 
 When the missing pairs are sampled (p_hat > 1/2), a union with a node of
 degree n - 1 is solved through its complement graph Gc, whose edges are
@@ -37,13 +36,11 @@ each other and nothing else). An isolated edge's block has eigenvalues
 hence lambda_max >= d + 1 >= 3 (Grone-Merris), so S leaves out every
 isolated edge when Gc has such a component, and all but the one at its
 lowest node, its first listed pair, when Gc is a matching; every value
-still comes from a solve. S has |S| <= n - 1 rows instead of n, about 4 on
-average at (n, p, N) = (50, 0.1, 50) against about 11 for every node Gc
-touches, and none for the complete graph, whose lambda_2 is n. When the
-present pairs are sampled (p_hat <= 1/2), such a union is common only at
-tiny n (16 % of the trials at (6, 0.5, 1), 3.4 % at (9, 0.5, 1)) and its
-complement touches almost every node, so that S would hold n - 1.0 to n - 1.3 rows on
-average at n = 6 to 14; it is solved in full like any other union. The one
+still comes from a solve. S has |S| <= n - 1 rows instead of n, fewer than
+the nodes Gc touches, and none for the complete graph, whose lambda_2 is n.
+When the present pairs are sampled (p_hat <= 1/2), such a union is common
+only at tiny n, and its complement touches almost every node, so that S
+would hold nearly n rows; it is solved in full like any other union. The one
 Laplacian builder (:func:`erunion.graphs.laplacians_from_pairs`) makes
 every matrix from the sampled pairs, with no edge mask: a union solved in
 full from its pairs, and L(Gc) on S from the missing pairs among S, each
@@ -54,10 +51,7 @@ has lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|, so the connectivity count
 is that of the full solve, and n - lambda_max does not cancel; the lambda_2
 mean, variance and their half-widths may move in their low digits (about
 1e-14 relative), and only in runs that hold such a trial. So solving the
-rare such unions of p_hat <= 1/2 in full moves only those digits: with
-``--seed 1``, ``mc --n 5 --p 0.5 --N 1 --trials 4000`` prints
-``var_lambda2`` 0.535616611174859, against 0.5356166111748593 with its
-unions of a node of degree n - 1 solved through Gc.
+rare such unions of p_hat <= 1/2 in full moves only those digits.
 
 Trials run in chunks of consecutive indices whose size depends on n, p_hat
 and the trial count alone, never on the worker count (:func:`_chunk_trials`).
@@ -86,12 +80,13 @@ chunk's, which the sampler returns sorted by union.
 The chunks run on W = min(workers, chunks, usable CPUs) workers: the
 calling thread and W - 1 helper threads run the same loop, taking chunks in
 trial order from one shared iterator. A new thread fills a malloc arena of
-its own with its chunks' arrays, about 1.1 MB of peak RSS at (200, 0.007, 4),
-so the calling thread works rather than waits. While helpers run, numpy's
-OpenBLAS runs on one thread (:func:`erunion.spectral.one_blas_thread`) so
-that the workers' solves do not oversubscribe the cores; with none, the BLAS
-threads stay for ``eigvalsh``. ``dsyevr`` solves run on one BLAS thread in
-either case, as their bits depend on the count.
+its own with its chunks' arrays, so the calling thread works rather than
+waits. While helpers run, numpy's OpenBLAS runs on one thread
+(:func:`erunion.spectral.one_blas_thread`) so that the workers' solves do
+not oversubscribe the cores; with none, the BLAS threads stay for
+``eigvalsh`` below ``DSYEVR_MIN_N`` rows. Solves of ``DSYEVR_MIN_N`` rows or
+more run on one BLAS thread in either case, as their bits depend on the
+count (:func:`erunion.spectral.eigenvalue_at`).
 """
 from __future__ import annotations
 
@@ -215,7 +210,8 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     when the missing pairs are listed, a union with a node of degree n - 1
     gets n - lambda_max of its complement's Laplacian on S, built from its
     listed pairs; any other union is solved in full, in slices of
-    :func:`_slice_matrices` unions, one slice held at a time. Every
+    :func:`_slice_matrices` unions, one slice held at a time, and gets 0.0
+    where its solve gives at most ``EPS_ZERO``. Every
     eigenvalue comes from :func:`erunion.spectral.eigenvalue_at`; each
     depends on its own union alone.
     """
@@ -233,8 +229,11 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
         batch = np.repeat(np.arange(len(at)), counts)
         # each pair's rank in the slice, moved to its union's range
         index = np.arange(len(batch)) + (first[at] - np.cumsum(counts) + counts)[batch]
-        lambda2s[at] = eigenvalue_at(
+        values = eigenvalue_at(
             laplacians_from_pairs(batch, a[index], b[index], present, len(at), n), 2)
+        # a disconnected union's lambda_2 is 0 exactly, not the solver's +-1e-16
+        values[values <= EPS_ZERO] = 0.0
+        lambda2s[at] = values
     rows = np.flatnonzero(universal)
     lambda2s[rows] = n
     if not rows.size:

@@ -5,13 +5,16 @@ bitmask over the lexicographic pair order (bit e = pair e), and its Laplacian
 is built from the pairs its set bits name by the one builder,
 :func:`erunion.graphs.laplacians_from_pairs`. A graph with m edges has weight
 p^m q^(M-m), which depends on m alone, so each n is enumerated once into a
-p-free table of per-graph quantities summed by edge count (``_structure``),
-and each (n, p) is that table times the M+1 weights. All quantities are exact
-sums over the full 2^M-graph sample space and are entirely independent of
-the closed-form moment formulas they are used to check.
+p-free table of quantities summed by edge count (``_structure``), and each
+(n, p) is that table times the M+1 weights. All quantities are exact sums
+over the full 2^M-graph sample space and are entirely independent of the
+closed-form moment formulas they are used to check.
 
-lambda_2 is solved once per Laplacian spectrum, not once per graph: 154
-solves for the 32,768 graphs on 6 nodes. Graphs are keyed by their traces
+Every summed quantity (1, tr L^k for k = 1..4, lambda_2, lambda_2^2 and the
+connectivity indicator) and the edge count m = tr L / 2 are functions of the
+Laplacian spectrum, so the table is a sum over spectrum classes, each
+counted once per graph in it: 154 classes, and so 154 lambda_2 solves, for
+the 32,768 graphs on 6 nodes. Graphs are keyed by their traces
 tr L^1 .. tr L^(n-1) (``_spectrum_keys``), and equal keys mean equal spectra:
 L's eigenvalue 0 adds nothing to any power sum, the first n-1 power sums of
 the other n-1 eigenvalues fix them by Newton's identities, and the traces
@@ -70,22 +73,16 @@ def _spectrum_keys(n: int, traces: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _graph_stats(n: int, start: int, stop: int,
-                 solved: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Edge counts and the 8 rows (1, tr L^k for k = 1..4, lambda_2,
-    lambda_2^2, connected) of the graphs with bitmasks start..stop-1.
+def _laplacians(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacians of the graphs with the given bitmasks, and their traces
+    tr L^1 .. tr L^5, one row per k.
 
     Two products L^2 and L^3 give the traces: tr(AB) is the entrywise sum of
     A * B when B is symmetric, and L^k is, so tr L^2 = sum(L * L),
     tr L^3 = sum(L^2 * L), tr L^4 = sum(L^2 * L^2) and tr L^5 = sum(L^2 * L^3).
-    Every entry is a small integer, so the traces are exact. lambda_2 is
-    solved once per spectrum (``_spectrum_keys``), for the first graph with
-    it; ``solved`` maps the keys already solved to their lambda_2 and gains
-    the new ones.
+    Every entry is a small integer, so the traces are exact.
     """
-    solved = {} if solved is None else solved
     m = n * (n - 1) // 2
-    masks = np.arange(start, stop, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(bool)
     # np.nonzero(bits), taken on the flat index: the 2-d form is about 4x slower here
     graph, pair = np.divmod(np.flatnonzero(bits), m)
@@ -93,47 +90,44 @@ def _graph_stats(n: int, start: int, stop: int,
     lap = laplacians_from_pairs(graph, i[pair], j[pair], True, len(bits), n)
     l2 = lap @ lap
     l3 = l2 @ lap
-    traces = np.stack([
+    return lap, np.stack([
         np.einsum("bii->b", lap), np.einsum("bij,bij->b", lap, lap),
         np.einsum("bij,bij->b", l2, lap), np.einsum("bij,bij->b", l2, l2),
         np.einsum("bij,bij->b", l2, l3)])
-    keys, first, inverse = np.unique(_spectrum_keys(n, traces), return_index=True,
-                                     return_inverse=True)
-    new = [k for k, key in enumerate(keys.tolist()) if key not in solved]
-    if new:
-        values = eigenvalue_at(lap[first[new]], 2)
-        # a disconnected graph's lambda_2 is 0 exactly, not the solver's +-1e-16
-        values[values <= EPS_ZERO] = 0.0
-        solved.update(zip(keys[new].tolist(), values.tolist()))
-    lambda2s = np.array([solved[key] for key in keys.tolist()])[inverse]
-    return bits.sum(axis=1, dtype=np.int64), np.stack([
-        np.ones(len(bits)), *traces[:4], lambda2s, lambda2s * lambda2s, lambda2s > EPS_ZERO])
 
 
 @lru_cache(maxsize=8)
 def _structure(n: int) -> np.ndarray:
-    """Read-only p-free (8, M+1) table: entry (r, m) sums ``_graph_stats``
-    row r over the C(M, m) graphs with m edges.
+    """Read-only p-free (8, M+1) table: entry (r, m) sums row r of
+    (1, tr L^k for k = 1..4, lambda_2, lambda_2^2, connected) over the
+    C(M, m) graphs with m edges.
 
-    Graphs are built, solved and reduced by edge count ``_SLICE_GRAPHS`` at a
-    time, so the build holds one slice of Laplacians, not all 2^M (22 MB at
-    n = 6); a spectrum solved in one slice is not solved again in a later
-    one. Values are split into multiples of 2^-20, whose sums are exact
-    (below 2^28, so 48 bits, for n <= 6), and remainders, so each entry is
-    the exact sum up to about one rounding; the integer rows are exact.
+    Graphs are built and keyed ``_SLICE_GRAPHS`` at a time, so the build
+    holds one slice of Laplacians, not all 2^M (22 MB at n = 6). The first
+    graph of each spectrum class is built again and solved, and entry (r, m)
+    is the exact sum, rounded once, of the class's graph count times its
+    row r value over the classes with m edges.
     """
     m = n * (n - 1) // 2
-    coarse, fine = np.zeros((8, m + 1)), np.zeros((8, m + 1))
-    solved = {}
+    keys = np.empty(1 << m, dtype=np.int64)
     for start in range(0, 1 << m, _SLICE_GRAPHS):
-        edge_counts, stats = _graph_stats(n, start, min(start + _SLICE_GRAPHS, 1 << m), solved)
-        grid = np.round(stats * 2.0 ** 20) * 2.0 ** -20
-        # entry (r, m) is bin r (M+1) + m, which sums row r's values in graph order
-        bins = (np.arange(8)[:, None] * (m + 1) + edge_counts).ravel()
-        for table, part in ((coarse, grid), (fine, stats - grid)):
-            table += np.bincount(bins, weights=part.ravel(),
-                                 minlength=8 * (m + 1)).reshape(8, m + 1)
-    table = coarse + fine
+        masks = np.arange(start, min(start + _SLICE_GRAPHS, 1 << m), dtype=np.uint32)
+        keys[masks] = _spectrum_keys(n, _laplacians(n, masks)[1])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    lap, traces = _laplacians(n, first)
+    lambda2s = eigenvalue_at(lap, 2)
+    # a disconnected graph's lambda_2 is 0 exactly, not the solver's +-1e-16
+    lambda2s[lambda2s <= EPS_ZERO] = 0.0
+    rows = np.stack([np.ones(len(first)), *traces[:4], lambda2s, lambda2s * lambda2s,
+                     lambda2s > EPS_ZERO])
+    # imported here, off the CLI's import path (about 3 ms per process) and
+    # after the slices, whose Laplacians set the build's peak memory
+    from fractions import Fraction
+
+    sums = np.full((8, m + 1), Fraction(0))
+    for edges, count, column in zip(traces[0].astype(int) // 2, counts.tolist(), rows.T.tolist()):
+        sums[:, edges] += [count * Fraction(value) for value in column]
+    table = sums.astype(float)
     table.flags.writeable = False
     return table
 

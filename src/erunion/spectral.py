@@ -14,10 +14,12 @@ symbol (MKL, Accelerate, a distro numpy) every stack goes to ``eigvalsh``.
 No other module calls ``numpy.linalg`` or LAPACK. Dense solves are intended
 for n up to :data:`SPECTRAL_N_CEILING`; the analytic modules have none.
 
-The bits of a ``dsyevr`` eigenvalue depend on the BLAS thread count, so its
-solves always run under :func:`one_blas_thread`. Worker threads that each
-solve their own matrices run under it too, so that OpenBLAS does not add
-its own threads on top of them.
+The bits of an eigenvalue depend on the BLAS thread count, for ``dsyevr``
+and, from about n = 220, for ``eigvalsh``, so every solve of
+:data:`DSYEVR_MIN_N` rows or more runs under :func:`one_blas_thread`,
+whichever driver takes it. Worker threads that each solve their own
+matrices run under it too, so that OpenBLAS does not add its own threads on
+top of them.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ SPECTRAL_N_CEILING = 2000
 # matrices of at least this many rows are solved for one eigenvalue by
 # dsyevr, and smaller ones by batched eigvalsh; measured per matrix at
 # p = 0.25 and 0.75, dsyevr is the faster from about n = 36 (ROADMAP,
-# Baseline), and the cutoff stays at 56 until a benchmark run moves it
+# item 15), and the cutoff stays at 56 until a benchmark run moves it
 DSYEVR_MIN_N = 56
 
 # (get, set) thread-count functions: plain OpenBLAS, then numpy wheels' ILP64 build
@@ -176,21 +178,24 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
 
     Below :data:`DSYEVR_MIN_N` rows, or without ``dsyevr``, this is
     ``numpy.linalg.eigvalsh(stack)[:, k - 1]``, bit for bit. From there up
-    each matrix is solved alone by ``dsyevr``, on one BLAS thread, and the
-    stack is scratch: a C-contiguous matrix is solved in place, which
-    destroys its upper triangle and diagonal, and any other is copied first.
+    every solve runs on one BLAS thread, ``eigvalsh``'s too, and with
+    ``dsyevr`` each matrix is solved alone and the stack is scratch: a
+    C-contiguous matrix is solved in place, which destroys its upper
+    triangle and diagonal, and any other is copied first.
     A matrix on which LAPACK reports a failure to converge (INFO > 0) is
     solved again by ``eigvalsh``.
     """
     rows = stack.shape[-1]
     if not 1 <= k <= rows:
         raise ValidationError(f"k must be in 1..{rows}, got {k!r}")
-    dsyevr = _dsyevr() if rows >= DSYEVR_MIN_N else None
-    if dsyevr is None:
+    if rows < DSYEVR_MIN_N:
         return np.linalg.eigvalsh(stack)[:, k - 1]
-    stack = np.asarray(stack, dtype=np.float64)
-    values = np.empty(len(stack))
     with one_blas_thread():
+        dsyevr = _dsyevr()
+        if dsyevr is None:
+            return np.linalg.eigvalsh(stack)[:, k - 1]
+        stack = np.asarray(stack, dtype=np.float64)
+        values = np.empty(len(stack))
         ws = _workspace(dsyevr, rows)
         for t, a in enumerate(stack):
             if not a.flags.c_contiguous:

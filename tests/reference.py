@@ -242,16 +242,26 @@ def bitmask_laplacians(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits.sum(axis=1), lap
 
 
-def per_graph_table(n: int) -> np.ndarray:
-    """The oracle's (8, M+1) table from each graph's own solve: entry (r, m)
-    is the exact sum over the graphs with m edges of row r of (1, tr L^k for
-    k = 1..4, lambda_2, lambda_2^2, connected), lambda_2 taken as 0 where it
-    is at most :data:`erunion.spectral.EPS_ZERO`."""
+@lru_cache(maxsize=None)
+def per_graph_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and the 8 rows (1, tr L^k for k = 1..4, lambda_2,
+    lambda_2^2, connected) of the 2^M graphs of :func:`bitmask_laplacians`,
+    from each graph's own solve, lambda_2 taken as 0 where it is at most
+    :data:`erunion.spectral.EPS_ZERO`. Cached, so both are read-only."""
     edge_counts, lap = bitmask_laplacians(n)
     lambda2s = np.linalg.eigvalsh(lap)[:, 1]
     lambda2s[lambda2s <= EPS_ZERO] = 0.0
     traces = [np.trace(np.linalg.matrix_power(lap, k), axis1=1, axis2=2) for k in (1, 2, 3, 4)]
-    rows = [np.ones(len(lap)), *traces, lambda2s, lambda2s ** 2, lambda2s > EPS_ZERO]
+    rows = np.stack([np.ones(len(lap)), *traces, lambda2s, lambda2s ** 2, lambda2s > EPS_ZERO])
+    edge_counts.flags.writeable = rows.flags.writeable = False
+    return edge_counts, rows
+
+
+def per_graph_table(n: int) -> np.ndarray:
+    """The oracle's (8, M+1) table from each graph's own solve: entry (r, m)
+    is the exact sum of row r of :func:`per_graph_rows` over the graphs with
+    m edges."""
+    edge_counts, rows = per_graph_rows(n)
     return np.array([[math.fsum(row[edge_counts == m]) for m in range(edge_counts.max() + 1)]
                      for row in rows])
 

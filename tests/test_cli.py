@@ -255,6 +255,15 @@ class TestMc:
         assert payload["estimate"]["ci_reliable"] is False
         assert payload["estimate"]["ci_halfwidths"]["mean_lambda2"] is None
 
+    def test_disconnected_union_solved_in_full_has_lambda2_zero(self, capsys):
+        # the one union is two disjoint triangles: no node of degree 0, so it
+        # is solved, and the solver's -1.1e-16 is printed as 0.0
+        code, out, _ = run_cli(capsys, "mc", "--n", "6", "--p", "0.4", "--N", "1",
+                               "--trials", "1", "--seed", "2843")
+        assert code == 0
+        assert json.loads(out)["estimate"]["mean_lambda2"] == 0.0
+        assert '"mean_lambda2": 0.0,' in out
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_64_bits_is_a_domain_error(self, capsys, seed):
         code, out, err = run_cli(capsys, "mc", "--n", "6", "--p", "0.3", "--N", "1",

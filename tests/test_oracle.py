@@ -10,9 +10,9 @@ import pytest
 from erunion import (CapabilityError, ModelParams, bound_report, enumerate_exact,
                      exact_union_report, oracle, rng, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
-from erunion.oracle import _graph_stats, _spectrum_keys, _structure
+from erunion.oracle import _spectrum_keys, _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
-from reference import all_pairs, bitmask_laplacians, edge_masks, per_graph_table
+from reference import all_pairs, bitmask_laplacians, edge_masks, per_graph_rows, per_graph_table
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +118,8 @@ class TestSharedIndicators:
     # labelled connected graphs on n nodes (OEIS A001187)
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
     def test_indicators_over_every_graph(self, n, count):
-        _, stats = _graph_stats(n, 0, 1 << (n * (n - 1) // 2))
+        # the per-graph rows the oracle's table sums, from each graph's own solve
+        _, stats = per_graph_rows(n)
         lambda2s, connected = stats[5], stats[7].astype(bool)
         assert len(connected) == 1 << (n * (n - 1) // 2)
         assert int(np.count_nonzero(connected)) == count
@@ -149,7 +150,7 @@ class TestEdgeCountTable:
         rep = (exact_union_report(ModelParams(n, 0.2), 3) if p == "union"
                else enumerate_exact(ModelParams(n, p)))
         num_pairs = n * (n - 1) // 2
-        edge_counts, stats = _graph_stats(n, 0, 1 << num_pairs)
+        edge_counts, stats = per_graph_rows(n)
         m = np.arange(num_pairs + 1)
         w = (rep.p ** m * (1 - rep.p) ** (num_pairs - m))[edge_counts]
         total, *traces, lambda2, lambda2_sq, connected = (

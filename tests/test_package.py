@@ -1,6 +1,7 @@
 """The package's public surface."""
 import ast
 import re
+import sys
 from pathlib import Path
 
 import erunion
@@ -76,6 +77,26 @@ def test_spectral_is_the_one_door_to_lapack():
                 maps.append(f"{path.name}:{node.lineno}")
     assert readers and all(where.startswith("spectral.py:") for where in readers), readers
     assert maps == []
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # the package depends on numpy alone, as pyproject.toml says; a relative
+    # import (level > 0) is the package itself
+    allowed = set(sys.stdlib_module_names) | {"numpy", "erunion"}
+    imports, foreign = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imports.append(module)
+                if module.split(".")[0] not in allowed:
+                    foreign.append(f"{path.name}:{node.lineno} {module}")
+    assert "numpy" in imports and foreign == [], foreign
 
 
 def _calls(names) -> list[str]:
