@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -178,15 +179,7 @@ def _cmd_oracle(args) -> int:
         "p": args.p,
         "num_graphs": args.N,
         "effective_p": report.p,
-        "exact": {
-            "eigenvalue_moments": report.eigenvalue_moments,
-            "expected_trace_lk": report.expected_trace_lk,
-            "expected_lambda2": report.expected_lambda2,
-            "expected_lambda2_sq": report.expected_lambda2_sq,
-            "prob_connected": report.prob_connected,
-            "prob_lambda2_ge_lambda_min": report.prob_lambda2_ge_lambda_min,
-            "weight_total": report.weight_total,
-        },
+        "exact": {k: v for k, v in vars(report).items() if k not in ("n", "p")},
         "analytic_moments": analytic,
         "max_rel_moment_error": max_rel,
         "expected_lambda2_bounds": {"lower": bounds.e_lambda2_lower,
@@ -237,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--workers", type=int, default=1,
                       help="workers, at most one per usable CPU: the calling thread and "
-                           "W - 1 more, sharing the trial chunks on one OpenBLAS thread "
-                           "(default: 1)")
+                           "W - 1 more, sharing the trial chunks (default: 1)")
     p_mc.add_argument("--json", action="store_true")  # JSON is already the output format
     p_mc.add_argument("--dump-graphs", metavar="DIR", default=None,
                       help="write each trial's union graph as an edge-list file (debugging)")
@@ -257,7 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left; what is left to write, the flush at exit
+        # included, goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

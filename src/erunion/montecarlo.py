@@ -81,12 +81,10 @@ The chunks run on W = min(workers, chunks, usable CPUs) workers: the
 calling thread and W - 1 helper threads run the same loop, taking chunks in
 trial order from one shared iterator. A new thread fills a malloc arena of
 its own with its chunks' arrays, so the calling thread works rather than
-waits. While helpers run, numpy's OpenBLAS runs on one thread
-(:func:`erunion.spectral.one_blas_thread`) so that the workers' solves do
-not oversubscribe the cores; with none, the BLAS threads stay for
-``eigvalsh`` below ``DSYEVR_MIN_N`` rows. Solves of ``DSYEVR_MIN_N`` rows or
-more run on one BLAS thread in either case, as their bits depend on the
-count (:func:`erunion.spectral.eigenvalue_at`).
+waits. The worker count leaves the BLAS thread count alone: solves of
+``DSYEVR_MIN_N`` rows or more run on one BLAS thread, as their bits depend
+on the count, and smaller ones at numpy's own count
+(:func:`erunion.spectral.eigenvalue_at`).
 """
 from __future__ import annotations
 
@@ -101,7 +99,7 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, ValidationError
 from .graphs import ModelParams, laplacians_from_pairs, pair_arrays
-from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at, one_blas_thread
+from .spectral import EPS_ZERO, SPECTRAL_N_CEILING, eigenvalue_at
 
 Z95 = 1.959963984540054
 
@@ -323,7 +321,6 @@ def run_mc(config: McConfig) -> McEstimate:
     with contextlib.ExitStack() as stack:
         helpers = []
         if pool_size > 1:
-            stack.enter_context(one_blas_thread())
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=pool_size - 1))
             helpers = [pool.submit(run_chunks) for _ in range(pool_size - 1)]
         run_chunks()

@@ -17,9 +17,9 @@ for n up to :data:`SPECTRAL_N_CEILING`; the analytic modules have none.
 The bits of an eigenvalue depend on the BLAS thread count, for ``dsyevr``
 and, from about n = 220, for ``eigvalsh``, so every solve of
 :data:`DSYEVR_MIN_N` rows or more runs under :func:`one_blas_thread`,
-whichever driver takes it. Worker threads that each solve their own
-matrices run under it too, so that OpenBLAS does not add its own threads on
-top of them.
+whichever driver takes it. This is the one place that sets the count:
+smaller solves run at numpy's own count, with or without worker threads,
+as their bits were not seen to depend on it (n = 2..55).
 """
 from __future__ import annotations
 

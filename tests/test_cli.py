@@ -2,10 +2,14 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import erunion
 from erunion import ModelParams, bound_report, cli, montecarlo, rng
 from erunion.cli import build_parser, main
 from reference import (lambda2, laplacian, read_edgelist, sample_union, trial_seed,
@@ -413,3 +417,18 @@ class TestParserReuse:
         assert "--n" in capsys.readouterr().err
         assert [run_cli(capsys, *argv) for argv in calls] == first
         assert all(code == 0 and out for code, out, _ in first)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader of stdout leaves before the command writes
+    argv = [sys.executable, "-m", "erunion.cli", "mc", "--n", "50", "--p", "0.1",
+            "--N", "50", "--trials", "300", "--seed", "1"]
+    # the child imports the package under test, wherever this process found it
+    src = str(Path(erunion.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")

@@ -145,8 +145,8 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results_without_dsyevr(self, monkeypatch):
         # without dsyevr every solve goes to eigvalsh, whose bits depend on
-        # the BLAS thread count from about n = 220, and two workers run on
-        # one BLAS thread; so must every solve of one worker at that n
+        # the BLAS thread count from about n = 220; eigenvalue_at runs each
+        # such solve on one BLAS thread, with one worker or two
         controls = spectral._openblas_thread_controls()
         if controls is None:
             pytest.skip("numpy's BLAS is not OpenBLAS")
@@ -449,6 +449,8 @@ class TestFullSolveSlices:
 
 
 class TestOneBlasThreadInPool:
+    # below DSYEVR_MIN_N rows no solve sets the BLAS thread count, with or
+    # without a pool; TestAboveTheCutoff covers the one-thread hold
     @staticmethod
     def _record_solves(monkeypatch, get, fail=False):
         """(in main thread, BLAS thread count) at each eigvalsh call from now on."""
@@ -465,7 +467,7 @@ class TestOneBlasThreadInPool:
         return seen
 
     @staticmethod
-    def _assert_pool_runs_on_one_thread(monkeypatch, get, fail, config):
+    def _assert_pool_keeps_the_thread_count(monkeypatch, get, fail, config):
         seen = TestOneBlasThreadInPool._record_solves(monkeypatch, get, fail)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = dataclasses.replace(config, workers=2)
@@ -474,23 +476,23 @@ class TestOneBlasThreadInPool:
                 run_mc(cfg)
         else:
             run_mc(cfg)
-        # the calling thread solves too, on the same one BLAS thread
-        assert seen and all(count == 1 for _, count in seen)
+        # no solve reaches DSYEVR_MIN_N rows, so every one, the calling
+        # thread's too, reads the caller's count, as in the serial path
+        assert seen and all(count == 2 for _, count in seen)
         assert get() == 2
 
     @pytest.mark.parametrize("fail", [False, True])
-    def test_pool_runs_on_one_thread_and_restores(self, monkeypatch,
-                                                  blas_get_at_two_threads, fail):
-        self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
-                                             THRESHOLD_CONFIG)
+    def test_pool_keeps_the_thread_count(self, monkeypatch, blas_get_at_two_threads, fail):
+        self._assert_pool_keeps_the_thread_count(monkeypatch, blas_get_at_two_threads, fail,
+                                                 THRESHOLD_CONFIG)
 
     @pytest.mark.parametrize("fail", [False, True])
-    def test_pool_runs_complement_solves_on_one_thread(self, monkeypatch,
-                                                       blas_get_at_two_threads, fail):
+    def test_pool_complement_solves_keep_the_thread_count(self, monkeypatch,
+                                                          blas_get_at_two_threads, fail):
         # DENSE_CONFIG is one chunk at the default pair budget; make it three
         monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", 100 * DENSE_CONFIG.params.num_pairs)
-        self._assert_pool_runs_on_one_thread(monkeypatch, blas_get_at_two_threads, fail,
-                                             DENSE_CONFIG)
+        self._assert_pool_keeps_the_thread_count(monkeypatch, blas_get_at_two_threads, fail,
+                                                 DENSE_CONFIG)
 
     def test_serial_path_keeps_the_thread_count(self, monkeypatch, blas_get_at_two_threads):
         seen = self._record_solves(monkeypatch, blas_get_at_two_threads)
@@ -521,7 +523,8 @@ class TestAboveTheCutoff:
     @pytest.mark.parametrize("cfg", ABOVE_CUTOFF_CONFIGS)
     def test_worker_count_does_not_change_results(self, monkeypatch, blas_get_at_two_threads,
                                                   cfg):
-        # the serial run starts at two BLAS threads, the pools' at one
+        # every run starts at two BLAS threads; eigenvalue_at holds one for
+        # each solve of DSYEVR_MIN_N rows or more
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
         base, *others = [run_mc(dataclasses.replace(cfg, workers=workers))
                          for workers in (1, 2, 3)]

@@ -124,3 +124,10 @@ def test_one_place_starts_threads():
     # run_mc's helper pool is the package's only source of threads
     starts = _calls(("ThreadPoolExecutor", "Thread"))
     assert len(starts) == 1 and starts[0].startswith("montecarlo.py:"), starts
+
+
+def test_one_place_sets_the_blas_thread_count():
+    # eigenvalue_at holds one BLAS thread for its own solves; no caller of it
+    # sets the count around them
+    holds = _calls(("one_blas_thread",))
+    assert holds and {where.split(":")[0] for where in holds} == {"spectral.py"}, holds
