@@ -26,14 +26,13 @@ So the Paley-Zygmund value is also a lower bound on P[lambda_2 >= lambda_min],
 the probability the paper names.
 
 Numerics. The closed forms are evaluated without cancellation, so no clamp is
-needed: var2 = m4 - m2^2 as n p q (8 + (n-2) p (21 + (8n-21) p)) in
-:mod:`erunion.moments`, m2 - (n p_hat)^2 as 2 n p_hat q_hat, the Var[lambda_2]
-upper bound m2 - max(raw, 0)^2 as 2 n p_hat q_hat + s (n p_hat + raw) when the
-raw E[lambda_2] lower bound is positive (s = sqrt(2n(n-2) p_hat q_hat) =
+needed: m2 - (n p_hat)^2 as 2 n p_hat q_hat, the Var[lambda_2] upper bound
+m2 - max(raw, 0)^2 as 2 n p_hat q_hat + s (n p_hat + raw) when the raw
+E[lambda_2] lower bound is positive (s = sqrt(2n(n-2) p_hat q_hat) =
 n p_hat - raw) and as m2 otherwise, and lambda_min as 2 sin^2(pi/n) /
-(1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is then 0 for every
-n >= 3 and 4 p_hat q_hat at n = 2, equal to the upper bound there (proof in
-:func:`_variance_bounds`).
+(1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is negative for every
+n >= 3, so it is reported as 0, and it is 4 p_hat q_hat at n = 2, equal to the
+upper bound there (proof in :func:`_variance_bounds`).
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, ValidationError
 from .graphs import ModelParams
-from .moments import _square_moments
+from .moments import _coefficient
 from .spectral import line_graph_lambda_min
 
 INFEASIBLE_N2 = ("n = 2: expected connectivity cannot reach the line-graph "
@@ -105,20 +104,20 @@ def _e_lambda2_lower_raw(n: int, p_hat: float, q_hat: float) -> float:
     return n * p_hat - _e_lambda2_spread(n, p_hat, q_hat)
 
 
-def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float, m2: float,
-                     var2: float) -> tuple[float, float]:
-    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and (m2, var2) at p_hat.
+def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float,
+                     m2: float) -> tuple[float, float]:
+    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and m2 at p_hat.
 
     The paper's lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
-    m2 - (n p_hat)^2 = 2 n p_hat q_hat. With sigma2^2 = var2 = n p_hat q_hat
-    (8 + (n-2) p_hat (21 + (8n-21) p_hat)) it is negative exactly when
+    m2 - (n p_hat)^2 = 2 n p_hat q_hat and sigma2^2 = m4 - m2^2 = n p_hat q_hat
+    (8 + (n-2) p_hat (21 + (8n-21) p_hat)). It is negative exactly when
     4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
     For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
-    clamped lower bound is 0 for every n >= 3; at n = 2 it is 4 p_hat q_hat,
-    and so is the upper bound.
+    lower bound is reported as 0 for every n >= 3; at n = 2 it is
+    4 p_hat q_hat, and so is the upper bound.
     """
     var1 = 2.0 * n * p_hat * q_hat  # m2 - (n p_hat)^2
-    lower = max(var1 - math.sqrt(var2) * math.sqrt(n - 2), 0.0)
+    lower = var1 if n == 2 else 0.0
     # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw, 0)^2; with s = n p_hat - raw,
     # m2 - raw^2 = var1 + s (n p_hat + raw), a sum of nonnegative terms
     if raw <= 0.0:
@@ -200,8 +199,8 @@ def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
     p_hat, q_hat = params.effective_probabilities(num_graphs)
     lam = line_graph_lambda_min(n)
     raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
-    m2, var2 = _square_moments(n, p_hat)
-    var_lo, var_hi = _variance_bounds(n, p_hat, q_hat, raw, m2, var2)
+    m2 = n * _coefficient(n, p_hat, 2)
+    var_lo, var_hi = _variance_bounds(n, p_hat, q_hat, raw, m2)
     theta = prob = rounded = None
     try:
         rounded = math.ceil(_n_min_real(n, params.p, lam))

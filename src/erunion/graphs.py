@@ -40,6 +40,8 @@ class ModelParams:
                                   "as a float64")
         if not isinstance(self.p, _REAL_TYPES) or not 0.0 < self.p < 1.0:
             raise ValidationError(f"p must be a real in the open interval (0, 1), got {self.p!r}")
+        if type(self.p) is not float:  # a numpy p would carry its dtype into every bound
+            object.__setattr__(self, "p", float(self.p))
 
     @property
     def q(self) -> float:

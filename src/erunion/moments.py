@@ -31,12 +31,3 @@ def eigenvalue_moment(params: ModelParams, k: int) -> float:
     """k-th moment (k = 1..4) of each nonzero-indexed Laplacian eigenvalue: n * c_k."""
     return params.n * _coefficient(params.n, params.p, k)
 
-
-def _square_moments(n: int, p: float) -> tuple[float, float]:
-    """(m2, var2): mean and variance of a squared eigenvalue of G(n, p).
-
-    var2 = m4 - m2^2 is evaluated as n p q (8 + (n-2) p (21 + (8n-21) p)), a
-    sum of nonnegative terms for n >= 2, so rounding cannot make it negative.
-    """
-    var2 = n * p * (1.0 - p) * (8.0 + (n - 2) * p * (21.0 + (8 * n - 21) * p))
-    return n * _coefficient(n, p, 2), var2

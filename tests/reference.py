@@ -18,7 +18,6 @@ import numpy as np
 
 from erunion import ModelParams, ValidationError, eigenvalue_moment, rng
 from erunion.graphs import pair_arrays
-from erunion.moments import _square_moments
 from erunion.spectral import EPS_ZERO
 
 
@@ -294,22 +293,17 @@ def order_stat_expectation_bounds(mu: float, sigma: float, m: int,
 
 @dataclass(frozen=True)
 class MomentSet:
-    """First four eigenvalue moments and the derived variances for one (n, p)."""
+    """First four eigenvalue moments and the variance of an eigenvalue for one (n, p)."""
 
     m1: float
     m2: float
     m3: float
     m4: float
     var1: float      # Var of an eigenvalue: 2npq
-    var2: float      # Var of a squared eigenvalue: m4 - m2^2
-    sigma2: float    # sqrt(var2)
 
 
 def eigenvalue_variances(params: ModelParams) -> MomentSet:
-    """The package's four closed-form moments, Var of an eigenvalue (2npq), and
-    the package's var2 = m4 - m2^2 (:func:`erunion.moments._square_moments`)."""
+    """The package's four closed-form moments and Var of an eigenvalue (2npq)."""
     n, p, q = params.n, params.p, params.q
     m = [eigenvalue_moment(params, k) for k in (1, 2, 3, 4)]
-    _, var2 = _square_moments(n, p)
-    return MomentSet(m1=m[0], m2=m[1], m3=m[2], m4=m[3],
-                     var1=2.0 * n * p * q, var2=var2, sigma2=math.sqrt(var2))
+    return MomentSet(m1=m[0], m2=m[1], m3=m[2], m4=m[3], var1=2.0 * n * p * q)

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from erunion import (InfeasibleError, ModelParams, ValidationError, bounds,
                      n_min, n_min_asymptotic, paley_zygmund_bound,
                      union_effective_params)
 from erunion.bounds import _nmin_log_argument
-from erunion.moments import _square_moments
+from erunion.moments import _coefficient
 from reference import order_stat_expectation_bounds
 
 
@@ -145,7 +146,9 @@ class TestVarianceBounds:
 
     @pytest.mark.parametrize("n,p,num", [
         (3, 0.5, 1), (3, 0.99, 1), (4, 0.9, 3), (6, 0.83, 20), (10, 0.9, 1),
-        (50, 0.1, 50), (80, 0.5, 50), (300, 0.5, 52), (10**5, 1e-5, 2)])
+        (50, 0.1, 50), (80, 0.5, 50), (300, 0.5, 52), (10**5, 1e-5, 2),
+        (3, 1e-300, 1), (3, 1 - 2.0**-52, 1), (10**9, 1e-300, 1), (10**9, 0.5, 1),
+        (10**9, 1 - 2.0**-52, 1), (2**53, 1e-300, 1), (2**53, 1 - 2.0**-52, 1)])
     def test_lower_is_zero_for_n_at_least_3(self, n, p, num):
         # the raw bound is negative for every n >= 3 (see _variance_bounds);
         # at (80, 0.5, 50) the difference form printed 9.09e-13
@@ -153,8 +156,22 @@ class TestVarianceBounds:
         assert rep.var_lambda2_lower == 0.0
         assert rep.var_lambda2_upper > 0.0
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 100, 10**5, 10**9, 2**53])
+    def test_paper_lower_bound_is_negative_for_n_at_least_3(self, n):
+        # why var_lambda2_lower is 0 for n >= 3: the paper's
+        # m2 - sigma2 sqrt(n-2) - (n p_hat)^2, sigma2^2 = m4 - m2^2, from the
+        # closed-form moments at 50 digits
+        with mpmath.workdps(50):
+            for p in (5e-324, 1e-300, 1e-9, 0.01, 0.5, 0.99, 1 - 2.0**-52, 1 - 2.0**-53):
+                mp = mpmath.mpf(p)
+                m2 = n * ((n - 2) * mp + 2) * mp
+                m4 = n * ((((n - 7) * (n - 3) * (n - 2) * mp + 6 * (2 * n - 7) * (n - 2)) * mp
+                           + 25 * (n - 2)) * mp + 8) * mp
+                paper = m2 - mpmath.sqrt(m4 - m2 * m2) * mpmath.sqrt(n - 2) - (n * mp) ** 2
+                assert paper < 0, (n, p)
+
     @pytest.mark.parametrize("p,num", [(0.3, 1), (0.3, 3), (0.5, 2), (0.01, 1), (0.9, 2),
-                                       (0.96, 10)])
+                                       (0.96, 10), (1e-300, 1), (1 - 2.0**-52, 1)])
     def test_lower_at_n2_is_4pq(self, p, num):
         # at (0.96, 10), q_hat ~ 1e-14 and m2 - (2 p_hat)^2 was off by 0.5 %
         u = union_effective_params(ModelParams(2, p), num)
@@ -199,8 +216,8 @@ class TestBoundReportSinglePass:
         u = union_effective_params(params, num)
         sigma = math.sqrt(2.0 * n * u.p_hat * u.q_hat)
         raw, _ = order_stat_expectation_bounds(n * u.p_hat, sigma, n - 1, 1)
-        m2, var2 = _square_moments(n, u.p_hat)
-        var_lo, var_hi = bounds._variance_bounds(n, u.p_hat, u.q_hat, raw, m2, var2)
+        m2 = n * _coefficient(n, u.p_hat, 2)
+        var_lo, var_hi = bounds._variance_bounds(n, u.p_hat, u.q_hat, raw, m2)
         lam = line_graph_lambda_min(n)
         theta = prob = rounded = None
         try:
@@ -240,7 +257,7 @@ class TestBoundReportSinglePass:
         # and nothing is certified
         params = ModelParams(50, 0.1)
         want = self._expected(params, 50)
-        m2, _ = _square_moments(50, params.effective_probabilities(50)[0])
+        m2 = 50 * _coefficient(50, params.effective_probabilities(50)[0], 2)
         want.update(e_lambda2_lower=0.0, var_lambda2_upper=m2, theta=None,
                     prob_lower=0.0, prob_status="zero_lower_bound")
         monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)

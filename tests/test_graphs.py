@@ -1,5 +1,7 @@
 """Sampling, unions, Laplacians, connectivity, and serialisation."""
+import dataclasses
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -54,6 +56,22 @@ class TestModelParams:
     @pytest.mark.parametrize("p", [0.5, np.float32(0.5), np.float64(0.5)])
     def test_real_p_is_accepted(self, p):
         assert bound_report(ModelParams(5, p), 2) == bound_report(ModelParams(5, 0.5), 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("num_graphs", [1, 3])
+    def test_numpy_p_is_kept_as_a_python_float(self, dtype, num_graphs):
+        # a float32 p once carried its dtype into bound_report at N = 1:
+        # var_lambda2_upper read 13.200001 and the report did not serialise
+        p = dtype(0.3)
+        params = ModelParams(10, p)
+        assert type(params.p) is float
+        rep = dataclasses.asdict(bound_report(params, num_graphs))
+        want = dataclasses.asdict(bound_report(ModelParams(10, float(p)), num_graphs))
+        for name, value in rep.items():
+            if isinstance(value, (float, np.floating)):
+                assert type(value) is float, name
+        assert rep == want
+        assert json.loads(json.dumps(rep)) == want
 
     @pytest.mark.parametrize("num_graphs", [True, False, 0, 2.0])
     def test_union_size_must_be_a_positive_integer(self, num_graphs):
