@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except MemoryError:
+        print("error: out of memory; try fewer --trials or a smaller --n",
+              file=sys.stderr)
+        return EXIT_CAPABILITY
 
 
 if __name__ == "__main__":

@@ -50,8 +50,7 @@ each |S| is solved as one slice of the stack. A union solved through Gc
 has lambda_2 >= 1, as lambda_max(L(Gc)) <= |S|, so the connectivity count
 is that of the full solve, and n - lambda_max does not cancel; the lambda_2
 mean, variance and their half-widths may move in their low digits (about
-1e-14 relative), and only in runs that hold such a trial. So solving the
-rare such unions of p_hat <= 1/2 in full moves only those digits.
+1e-14 relative), and only in runs that hold such a trial.
 
 Trials run in chunks of consecutive indices whose size depends on n, p_hat
 and the trial count alone, never on the worker count (:func:`_chunk_trials`).
@@ -327,33 +326,22 @@ def run_mc(config: McConfig) -> McEstimate:
         for helper in helpers:
             helper.result()
 
-    mean = float(np.sum(lambda2s)) / trials
-    if trials > 1:
-        var = float(np.sum((lambda2s - mean) ** 2)) / (trials - 1)
-    else:
-        var = 0.0
     n_conn = int(np.count_nonzero(lambda2s > EPS_ZERO))
-
-    ci_reliable = trials >= 2
-    if ci_reliable:
+    mean = float(np.sum(lambda2s)) / trials
+    var, mean_hw, var_hw = 0.0, None, None
+    if trials > 1:
+        # the per-trial array is scratch now, so the moments reuse it in place
+        lambda2s -= mean
+        var = float(np.sum(np.square(lambda2s))) / (trials - 1)
         mean_hw = Z95 * math.sqrt(var / trials)
         # distribution-free variance CI from the fourth central moment
-        m4c = float(np.sum((lambda2s - mean) ** 4)) / trials
+        m4c = float(np.sum(np.power(lambda2s, 4, out=lambda2s))) / trials
         var_hw = Z95 * math.sqrt(max(m4c - var * var, 0.0) / trials)
-    else:
-        mean_hw = None
-        var_hw = None
-
     lo, hi = wilson_interval(n_conn, trials)
     conn_hw = (hi - lo) / 2.0
-    ci = {
-        "mean_lambda2": mean_hw,
-        "var_lambda2": var_hw,
-        "prob_connected": conn_hw,
-        "prob_ge_lambda_min": conn_hw,
-    }
-    return McEstimate(mean_lambda2=mean, var_lambda2=var,
-                      prob_connected=n_conn / trials,
-                      prob_ge_lambda_min=n_conn / trials,
-                      ci_halfwidths=ci, trials=trials, ci_reliable=ci_reliable)
+    p_conn = n_conn / trials
+    return McEstimate(mean_lambda2=mean, var_lambda2=var, prob_connected=p_conn,
+                      prob_ge_lambda_min=p_conn, trials=trials, ci_reliable=trials > 1,
+                      ci_halfwidths={"mean_lambda2": mean_hw, "var_lambda2": var_hw,
+                                     "prob_connected": conn_hw, "prob_ge_lambda_min": conn_hw})
 

@@ -128,6 +128,7 @@ def test_union_size_beyond_float_range_is_a_domain_error(capsys, argv):
     # a float64 has at most 1074 decimals, so more would print only zeros
     ["tables", "2", "--precision", "3000000000"],
     ["probbound", "--n", "50", "--p", "0.05", "--N", "50", "--precision", "1075"],
+    ["tables", "2", "--precision", "abc"],
 ])
 def test_negative_precision_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -288,6 +289,21 @@ class TestMc:
         assert code == 3
         assert out == ""
         assert err.startswith("error: trials=100000000000000000 needs 8e+17 bytes")
+
+    def test_out_of_memory_is_a_capability_error(self, capsys, monkeypatch):
+        # taking the estimate allocates after every trial has run, past the
+        # up-front check on the per-trial array
+        def run_mc(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_mc", run_mc)
+        code, out, err = run_cli(capsys, "mc", "--n", "3", "--p", "0.5", "--N", "1",
+                                 "--trials", "10", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n, p, num, missing", [
         (8, 0.4, 2, True),     # p_hat = 0.64: the missing pairs are drawn

@@ -81,6 +81,19 @@ class TestDegenerateAndErrors:
         with pytest.raises(CapabilityError, match=f"trials={trials} needs .* bytes"):
             run_mc(McConfig(ModelParams(3, 0.5), num_graphs=1, trials=trials, master_seed=1))
 
+    def test_estimate_holds_at_most_two_per_trial_arrays(self):
+        # the per-trial array and one temporary of its size: the moments are
+        # taken on it in place; at 10**6 trials the sampler's chunk arrays
+        # are far smaller
+        trials = 10**6
+        tracemalloc.start()
+        try:
+            run_mc(McConfig(ModelParams(3, 0.5), 1, trials, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * 8 * trials
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             McConfig(ModelParams(5, 0.5), num_graphs=0, trials=10, master_seed=0)

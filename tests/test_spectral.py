@@ -138,6 +138,11 @@ class TestLineGraphMinimum:
                 assert abs(line_graph_lambda_min(n) - ref) <= 1e-15 * ref, n
         assert line_graph_lambda_min(10**9) > 0.0
 
+    @pytest.mark.parametrize("n", [1, 0, 2.0, True])
+    def test_rejects_other_than_an_integer_of_2_or_more(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer >= 2"):
+            line_graph_lambda_min(n)
+
     def test_n4_closed_form(self):
         assert line_graph_lambda_min(4) == pytest.approx(2 - math.sqrt(2), abs=1e-12)
 
@@ -168,6 +173,20 @@ def test_overlapping_one_blas_thread_bodies_restore_the_count(blas_get_at_two_th
     first.__exit__(None, None, None)
     assert get() == 1
     second.__exit__(None, None, None)
+    assert get() == 2
+
+
+def test_one_blas_thread_without_thread_controls_runs_the_body(
+        monkeypatch, blas_get_at_two_threads):
+    # a BLAS without OpenBLAS's thread-count functions: the body runs as is
+    get = blas_get_at_two_threads
+    monkeypatch.setattr(spectral, "_openblas_thread_controls", lambda: None)
+    ran = False
+    with one_blas_thread():
+        ran = True
+        assert spectral._one_thread_holders == 0
+        assert get() == 2
+    assert ran
     assert get() == 2
 
 
