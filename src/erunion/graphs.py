@@ -87,9 +87,13 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     entry is 4 n (n - 1) bytes, 155 KB at n = 200 and 16 MB at n = 2000. It
     is safe up to the dense eigensolver's ceiling, n = 2000: every index is
     below n, and a flat index into one n x n matrix below n^2 = 4e6 < 2^31.
-    The cache keeps the last 4 n asked for.
+    The cache keeps the last 4 n asked for, read-only, as every caller
+    shares them.
     """
-    return tuple(index.astype(np.int32) for index in np.triu_indices(n, 1))
+    pairs = tuple(index.astype(np.int32) for index in np.triu_indices(n, 1))
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def laplacians_from_pairs(batch: np.ndarray, a: np.ndarray, b: np.ndarray, present: bool,

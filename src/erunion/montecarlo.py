@@ -13,14 +13,14 @@ and only its pairs in the rarer state are drawn (:func:`erunion.rng.rare_pairs`)
 from the stream seeded by ``rng.trial_seeds_np(master_seed, t, 1)``, so trial
 t's union graph is the graph ``mc --dump-graphs`` writes for trial t.
 
-Node degrees come from the sampled pairs: two ``bincount`` calls over their
-end nodes count the present pairs at each node, or the missing ones, whose
-count subtracted from n - 1 is the degree. The degrees pick each union's
-path. A union with a node of degree 0 is disconnected, so its lambda_2 is
-exactly 0.0 with no eigensolve; near the connectivity threshold about half
-the unions are of this kind. A union solved in full whose lambda_2 comes
-out at most ``EPS_ZERO`` (the solver's rounding noise on a disconnected
-union) gets 0.0 too, so the shortcut gives exactly what a solve gives.
+Each union's path comes from the sampled pairs: two ``bincount`` calls over
+their end nodes count the pairs listed at each node, present or missing. A
+node of degree 0 lists no present pair, or every missing one. A union with
+such a node is disconnected, so its lambda_2 is exactly 0.0 with no
+eigensolve; near the connectivity threshold about half the unions are of
+this kind. A union solved in full whose lambda_2 comes out at most
+``EPS_ZERO`` (the solver's rounding noise on a disconnected union) gets 0.0
+too, so the shortcut gives exactly what a solve gives.
 
 When the missing pairs are sampled (p_hat > 1/2), a union with a node of
 degree n - 1 is solved through its complement graph Gc, whose edges are
@@ -194,28 +194,32 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present: bool,
-                        degrees: np.ndarray) -> np.ndarray:
-    """lambda_2 of each union in a batch, from its pairs in one state.
+def lambda2s_from_pairs(trial: np.ndarray, pair: np.ndarray, present: bool, unions: int,
+                        n: int) -> np.ndarray:
+    """lambda_2 of each of ``unions`` n-node unions, from their pairs in one state.
 
-    Pair k joins nodes ``a[k] != b[k]`` of union ``trial[k]``. The listed
-    pairs are present when ``present`` is true and missing otherwise, and
-    every other pair is in the other state, as :func:`erunion.rng.rare_pairs`
-    samples them, and the pairs are sorted by (union, pair) in lexicographic
-    order. ``degrees`` holds each union's node degrees, one row per union;
-    they pick each union's path. A union with a node of degree 0 gets 0.0;
-    when the missing pairs are listed, a union with a node of degree n - 1
-    gets n - lambda_max of its complement's Laplacian on S, built from its
-    listed pairs; any other union is solved in full, in slices of
-    :func:`_slice_matrices` unions, one slice held at a time, and gets 0.0
-    where its solve gives at most ``EPS_ZERO``. Every
-    eigenvalue comes from :func:`erunion.spectral.eigenvalue_at`; each
+    Union ``trial[k]`` lists pair ``pair[k]`` of :func:`erunion.graphs.pair_arrays`,
+    sorted by (union, pair) as :func:`erunion.rng.rare_pairs` returns them;
+    a union may list none. The listed pairs are present when ``present`` is
+    true and missing otherwise, and every other pair is in the other state.
+    A union with a node of degree 0 gets 0.0; when the missing pairs are
+    listed, a union with a node of degree n - 1 gets n - lambda_max of its
+    complement's Laplacian on S, built from its listed pairs; any other union
+    is solved in full, in slices of :func:`_slice_matrices` unions, one slice
+    held at a time, and gets 0.0 where its solve gives at most ``EPS_ZERO``.
+    Every eigenvalue comes from :func:`erunion.spectral.eigenvalue_at`; each
     depends on its own union alone.
     """
-    unions, n = degrees.shape
-    # only listed missing pairs take the complement path (module doc)
-    universal = (degrees == n - 1).any(axis=1) & (not present)
-    full = np.flatnonzero((degrees > 0).all(axis=1) & ~universal)
+    i, j = pair_arrays(n)
+    a, b = i[pair], j[pair]
+    # a listed pair counts once at each of its two nodes
+    listed = (np.bincount(trial * n + a, minlength=unions * n)
+              + np.bincount(trial * n + b, minlength=unions * n)).reshape(-1, n)
+    # only listed missing pairs take the complement path (module doc), where
+    # a node of degree n - 1 lists none; a node of degree 0 lists no present
+    # pair, or every missing one
+    universal = (listed == 0).any(axis=1) & (not present)
+    full = np.flatnonzero(~(listed == (0 if present else n - 1)).any(axis=1) & ~universal)
     lambda2s = np.zeros(unions)
     # the pairs are sorted by union: union u's are first[u]:first[u + 1]
     first = np.searchsorted(trial, np.arange(unions + 1))
@@ -239,9 +243,8 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
     # has eigenvalues {0, 2}, below the lambda_max >= 3 of any component of 3
     # or more nodes, so S keeps none of them, or when the complement is a
     # matching, the one at its lowest node: its first pair, as they are sorted
-    missing = n - 1 - degrees
-    isolated = (missing[trial, a] == 1) & (missing[trial, b] == 1)
-    leading = (missing < 2).all(axis=1)[trial] & (np.arange(len(trial)) == first[trial])
+    isolated = (listed[trial, a] == 1) & (listed[trial, b] == 1)
+    leading = (listed < 2).all(axis=1)[trial] & (np.arange(len(trial)) == first[trial])
     kept = universal[trial] & (~isolated | leading)
     t, u, v = trial[kept], a[kept], b[kept]
     # S, the nodes of the kept pairs, numbered in ascending order
@@ -271,9 +274,8 @@ def lambda2s_from_pairs(trial: np.ndarray, a: np.ndarray, b: np.ndarray, present
 def run_mc(config: McConfig) -> McEstimate:
     """Sample every trial, solve its lambda_2; aggregate deterministically.
 
-    Per trial: draw the union's rare pairs at p_hat from the trial's stream,
-    count its degrees from them and take its lambda_2 from them
-    (:func:`lambda2s_from_pairs`). Aggregation
+    Per trial: draw the union's rare pairs at p_hat from the trial's stream
+    and take its lambda_2 from them (:func:`lambda2s_from_pairs`). Aggregation
     reads the per-trial array in trial order, so any worker count gives
     bit-identical results.
     """
@@ -293,21 +295,13 @@ def run_mc(config: McConfig) -> McEstimate:
     chunk = _chunk_trials(n, p_hat, trials)
     chunks = range(0, trials, chunk)
     pool_size = min(config.workers, len(chunks), _usable_cpus())
-    i, j = pair_arrays(n)
     present = not rng.missing_is_rare(p_hat)
 
     def run_chunk(start: int) -> None:
         stop = min(start + chunk, trials)
         seeds = rng.trial_seeds_np(config.master_seed, start, stop - start)
         trial, pair = rng.rare_pairs(seeds, num_pairs, p_hat)
-        a, b = i[pair], j[pair]
-        # a sampled pair counts once at each of its two nodes
-        row = trial * n
-        size = len(seeds) * n
-        counts = (np.bincount(row + a, minlength=size)
-                  + np.bincount(row + b, minlength=size)).reshape(-1, n)
-        degrees = counts if present else n - 1 - counts
-        lambda2s[start:stop] = lambda2s_from_pairs(trial, a, b, present, degrees)
+        lambda2s[start:stop] = lambda2s_from_pairs(trial, pair, present, stop - start, n)
 
     # the calling thread and pool_size - 1 helpers take the chunks, in trial
     # order, from one iterator; a chunk's arrays go when run_chunk returns

@@ -93,6 +93,16 @@ class TestPairArrays:
         want_i, want_j = np.triu_indices(n, 1)
         assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
+    def test_cached_arrays_are_read_only(self):
+        # every caller shares the cached arrays: a write would move every
+        # later caller's pairs
+        for index in pair_arrays(5):
+            with pytest.raises(ValueError):
+                index[0] = 3
+        i, j = pair_arrays(5)
+        want_i, want_j = np.triu_indices(5, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
     def test_cache_retains_bounded_memory(self):
         # a sweep over 40 n near 400 keeps a few entries of 4 n (n - 1) bytes,
         # not all 40 (28 MB)

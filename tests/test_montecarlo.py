@@ -666,8 +666,7 @@ def _reference_laplacians(masks, n):
 def _lambda2s(masks, degrees, present=True):
     """lambda2s_from_pairs of a batch of edge masks, from its pairs in the given state."""
     trial, pair = np.nonzero(masks if present else 1 - masks)
-    i, j = pair_arrays(degrees.shape[1])
-    return lambda2s_from_pairs(trial, i[pair], j[pair], present, degrees)
+    return lambda2s_from_pairs(trial, pair, present, *degrees.shape)
 
 
 def _solve_atol(mask, n):
@@ -941,6 +940,22 @@ class TestDegreeFirstSolve:
         assert np.array_equal(got, np.linalg.eigvalsh(_reference_laplacians(masks, n))[:, 1])
         assert calls and all(stack[-1] == n for stack, k in calls)
 
+    @pytest.mark.parametrize("present", [True, False])
+    def test_unions_that_list_no_pair(self, present):
+        # the last unions list no pair: from their missing pairs they are
+        # complete graphs, from their present ones empty graphs, so the
+        # union count cannot come from the listed pairs
+        n = 6
+        masks = edge_masks(rng.trial_seeds_np(3, 0, 40), n * (n - 1) // 2, 0.5)
+        tail = np.full((3, masks.shape[1]), 0 if present else 1, dtype=masks.dtype)
+        batch = np.concatenate([masks, tail])
+        got = _lambda2s(batch, _degrees(batch, n), present)
+        assert np.array_equal(got[:len(masks)], _lambda2s(masks, _degrees(masks, n), present))
+        assert got[len(masks):].tolist() == [0.0 if present else float(n)] * 3
+        none = np.array([], dtype=np.int64)
+        got = lambda2s_from_pairs(none, none, present, 3, n)
+        assert got.tolist() == [0.0 if present else float(n)] * 3
+
     def test_complement_solve_peak_memory(self):
         # one chunk of (30, 0.5, 4): p_hat = 0.9375, and almost every union
         # is solved on its complement, of up to 29 nodes
@@ -956,12 +971,10 @@ class TestDegreeFirstSolve:
         # for the largest |S|
         stack = int(universal.sum()) * size_max**2 * 8
         trial, pair = np.nonzero(1 - masks)
-        i, j = pair_arrays(n)
-        a, b = i[pair], j[pair]
-        want = lambda2s_from_pairs(trial, a, b, False, degrees)
+        want = lambda2s_from_pairs(trial, pair, False, len(masks), n)
         tracemalloc.start()
         try:
-            got = lambda2s_from_pairs(trial, a, b, False, degrees)
+            got = lambda2s_from_pairs(trial, pair, False, len(masks), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -978,13 +991,11 @@ class TestDegreeFirstSolve:
         degrees = _degrees(masks, n)
         assert ((degrees > 0) & (degrees < n - 1)).all(axis=1).sum() >= 5
         trial, pair = np.nonzero(masks)
-        i, j = pair_arrays(n)
-        a, b = i[pair], j[pair]
         # also makes this thread's dsyevr workspace, which outlives the call
-        want = lambda2s_from_pairs(trial, a, b, True, degrees)
+        want = lambda2s_from_pairs(trial, pair, True, len(masks), n)
         tracemalloc.start()
         try:
-            got = lambda2s_from_pairs(trial, a, b, True, degrees)
+            got = lambda2s_from_pairs(trial, pair, True, len(masks), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
