@@ -32,7 +32,7 @@ E[lambda_2] lower bound is positive (s = sqrt(2n(n-2) p_hat q_hat) =
 n p_hat - raw) and as m2 otherwise, and lambda_min as 2 sin^2(pi/n) /
 (1 + cos(pi/n)). The paper's Var[lambda_2] lower bound is negative for every
 n >= 3, so it is reported as 0, and it is 4 p_hat q_hat at n = 2, equal to the
-upper bound there (proof in :func:`_variance_bounds`).
+upper bound there (proof in :func:`bound_report`).
 """
 from __future__ import annotations
 
@@ -88,7 +88,8 @@ class BoundReport:
 
 
 def union_effective_params(params: ModelParams, num_graphs: int) -> UnionParams:
-    """p_hat = 1 - (1-p)^N, see :meth:`ModelParams.effective_probabilities`."""
+    """p_hat = 1 - (1-p)^N, see :meth:`ModelParams.effective_probabilities`.
+    Kept because perfbench calls it; ROADMAP item 1 removes it."""
     p_hat, q_hat = params.effective_probabilities(num_graphs)
     return UnionParams(base=params, num_graphs=num_graphs, p_hat=p_hat, q_hat=q_hat)
 
@@ -98,31 +99,6 @@ def _e_lambda2_spread(n: int, p_hat: float, q_hat: float) -> float:
     # m = n-1 variables, here the nonzero-indexed eigenvalues with sigma^2 =
     # 2 n p q, so the bound on E[lambda_2] is n p_hat minus this spread
     return math.sqrt(2.0 * n * p_hat * q_hat) * math.sqrt(n - 2)
-
-
-def _e_lambda2_lower_raw(n: int, p_hat: float, q_hat: float) -> float:
-    return n * p_hat - _e_lambda2_spread(n, p_hat, q_hat)
-
-
-def _variance_bounds(n: int, p_hat: float, q_hat: float, raw: float,
-                     m2: float) -> tuple[float, float]:
-    """Var[lambda_2] bounds from the raw E[lambda_2] lower bound and m2 at p_hat.
-
-    The paper's lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
-    m2 - (n p_hat)^2 = 2 n p_hat q_hat and sigma2^2 = m4 - m2^2 = n p_hat q_hat
-    (8 + (n-2) p_hat (21 + (8n-21) p_hat)). It is negative exactly when
-    4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat + (n-2) (8n-21) p_hat^2).
-    For n >= 3 that always holds, since 4 n p_hat <= 21 (n-2)^2 p_hat, so the
-    lower bound is reported as 0 for every n >= 3; at n = 2 it is
-    4 p_hat q_hat, and so is the upper bound.
-    """
-    var1 = 2.0 * n * p_hat * q_hat  # m2 - (n p_hat)^2
-    lower = var1 if n == 2 else 0.0
-    # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw, 0)^2; with s = n p_hat - raw,
-    # m2 - raw^2 = var1 + s (n p_hat + raw), a sum of nonnegative terms
-    if raw <= 0.0:
-        return lower, m2
-    return lower, var1 + _e_lambda2_spread(n, p_hat, q_hat) * (n * p_hat + raw)
 
 
 def _nmin_log_argument(n: int, lam: float) -> float:
@@ -173,18 +149,6 @@ def n_min_asymptotic(p: float) -> float:
     return asym
 
 
-def paley_zygmund_bound(mean_lb: float, second_moment_ub: float, theta: float) -> float:
-    """Second-moment lower bound (1-theta)^2 * mean_lb^2 / second_moment_ub
-    on P[Z > theta E[Z]] for a nonnegative Z, with E[Z] lower-bounded by
-    mean_lb and E[Z^2] upper-bounded by second_moment_ub (both substitutions
-    preserve the inequality direction)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
-    if second_moment_ub <= 0.0:
-        raise ValidationError(f"second_moment_ub must be positive, got {second_moment_ub!r}")
-    return (1.0 - theta) ** 2 * mean_lb * mean_lb / second_moment_ub
-
-
 def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
     """All analytic bounds for one configuration in a single record, each
     scalar helper called once.
@@ -198,9 +162,19 @@ def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
     n = params.n
     p_hat, q_hat = params.effective_probabilities(num_graphs)
     lam = line_graph_lambda_min(n)
-    raw = _e_lambda2_lower_raw(n, p_hat, q_hat)
+    spread = _e_lambda2_spread(n, p_hat, q_hat)
+    raw = n * p_hat - spread  # the raw E[lambda_2] lower bound
     m2 = n * _coefficient(n, p_hat, 2)
-    var_lo, var_hi = _variance_bounds(n, p_hat, q_hat, raw, m2)
+    var1 = 2.0 * n * p_hat * q_hat  # m2 - (n p_hat)^2
+    # The paper's Var lower bound is m2 - sigma2 sqrt(n-2) - (n p_hat)^2 with
+    # sigma2^2 = m4 - m2^2 = n p_hat q_hat (8 + (n-2) p_hat (21 + (8n-21) p_hat)).
+    # It is negative exactly when 4 n p_hat q_hat < (n-2) (8 + 21 (n-2) p_hat +
+    # (n-2) (8n-21) p_hat^2), which holds for every n >= 3 since 4 n p_hat <=
+    # 21 (n-2)^2 p_hat; at n = 2 it is 4 p_hat q_hat, as is the upper bound.
+    var_lo = var1 if n == 2 else 0.0
+    # lambda_2 >= 0, so E[lambda_2]^2 >= max(raw, 0)^2; with spread = n p_hat -
+    # raw, m2 - raw^2 = var1 + spread (n p_hat + raw), a sum of nonnegative terms
+    var_hi = var1 + spread * (n * p_hat + raw) if raw > 0.0 else m2
     theta = prob = rounded = None
     try:
         rounded = math.ceil(_n_min_real(n, params.p, lam))
@@ -214,7 +188,9 @@ def bound_report(params: ModelParams, num_graphs: int) -> BoundReport:
             status, prob = "zero_lower_bound", 0.0
         else:
             status, theta = "certified", lam / (n * p_hat)
-            prob = min(max(paley_zygmund_bound(raw, m2, theta), 0.0), 1.0)
+            # Paley-Zygmund, (1-theta)^2 E[Z]^2 / E[Z^2], at the bounds raw <=
+            # E[lambda_2] and m2 >= E[lambda_2^2], which keep its direction
+            prob = min(max((1.0 - theta) ** 2 * raw * raw / m2, 0.0), 1.0)
     return BoundReport(e_lambda2_lower=max(raw, 0.0), e_lambda2_upper=n * p_hat,
                        var_lambda2_lower=var_lo, var_lambda2_upper=var_hi,
                        lambda_min=lam, theta=theta, prob_lower=prob,

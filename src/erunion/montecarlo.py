@@ -308,8 +308,12 @@ def run_mc(config: McConfig) -> McEstimate:
     starts = iter(chunks)
 
     def run_chunks() -> None:
-        for start in starts:
-            run_chunk(start)
+        try:
+            for start in starts:
+                run_chunk(start)
+        finally:  # after a failure or Ctrl-C, the other workers find no chunk left
+            for _ in starts:
+                pass
 
     with contextlib.ExitStack() as stack:
         helpers = []

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from erunion import (InfeasibleError, ModelParams, ValidationError, bounds,
                      bound_report, exact_union_report, line_graph_lambda_min,
-                     n_min, n_min_asymptotic, paley_zygmund_bound,
-                     union_effective_params)
-from erunion.bounds import _nmin_log_argument
+                     n_min, n_min_asymptotic)
+from erunion.bounds import _nmin_log_argument, union_effective_params
 from erunion.moments import _coefficient
 from reference import order_stat_expectation_bounds
 
@@ -150,7 +149,7 @@ class TestVarianceBounds:
         (3, 1e-300, 1), (3, 1 - 2.0**-52, 1), (10**9, 1e-300, 1), (10**9, 0.5, 1),
         (10**9, 1 - 2.0**-52, 1), (2**53, 1e-300, 1), (2**53, 1 - 2.0**-52, 1)])
     def test_lower_is_zero_for_n_at_least_3(self, n, p, num):
-        # the raw bound is negative for every n >= 3 (see _variance_bounds);
+        # the raw bound is negative for every n >= 3 (see bound_report);
         # at (80, 0.5, 50) the difference form printed 9.09e-13
         rep = bound_report(ModelParams(n, p), num)
         assert rep.var_lambda2_lower == 0.0
@@ -217,7 +216,10 @@ class TestBoundReportSinglePass:
         sigma = math.sqrt(2.0 * n * u.p_hat * u.q_hat)
         raw, _ = order_stat_expectation_bounds(n * u.p_hat, sigma, n - 1, 1)
         m2 = n * _coefficient(n, u.p_hat, 2)
-        var_lo, var_hi = bounds._variance_bounds(n, u.p_hat, u.q_hat, raw, m2)
+        var1 = 2.0 * n * u.p_hat * u.q_hat  # m2 - (n p_hat)^2
+        var_lo = var1 if n == 2 else 0.0
+        # m2 - max(raw, 0)^2, with n p_hat - raw = sigma sqrt(n-2)
+        var_hi = var1 + sigma * math.sqrt(n - 2) * (n * u.p_hat + raw) if raw > 0.0 else m2
         lam = line_graph_lambda_min(n)
         theta = prob = rounded = None
         try:
@@ -229,7 +231,7 @@ class TestBoundReportSinglePass:
         if status == "certified":
             assert raw > 0.0, (n, params.p, num)  # see test_zero_lower_bound_case_fields
             theta = lam / (n * u.p_hat)
-            prob = min(max(paley_zygmund_bound(raw, m2, theta), 0.0), 1.0)
+            prob = min(max((1.0 - theta) ** 2 * raw * raw / m2, 0.0), 1.0)
         return {"e_lambda2_lower": max(raw, 0.0), "e_lambda2_upper": n * u.p_hat,
                 "var_lambda2_lower": var_lo, "var_lambda2_upper": var_hi,
                 "lambda_min": lam, "theta": theta, "prob_lower": prob,
@@ -260,7 +262,7 @@ class TestBoundReportSinglePass:
         m2 = 50 * _coefficient(50, params.effective_probabilities(50)[0], 2)
         want.update(e_lambda2_lower=0.0, var_lambda2_upper=m2, theta=None,
                     prob_lower=0.0, prob_status="zero_lower_bound")
-        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
+        monkeypatch.setattr(bounds, "_e_lambda2_spread", lambda n, p_hat, q_hat: n * p_hat)
         assert dataclasses.asdict(bound_report(params, 50)) == want
 
     def test_overflowing_n_min_is_rejected_by_both(self):
@@ -359,30 +361,6 @@ class TestNminAsymptotic:
             n_min_asymptotic(0.0)
 
 
-class TestPaleyZygmund:
-    def test_theta_one_gives_zero(self):
-        assert paley_zygmund_bound(2.0, 5.0, 1.0) == 0.0
-
-    def test_deterministic_variable_gives_one(self):
-        assert paley_zygmund_bound(2.0, 4.0, 0.0) == pytest.approx(1.0)
-
-    def test_bernoulli_example(self):
-        # Z ~ Bernoulli(0.3): E[Z] = E[Z^2] = 0.3; bound at theta=0.5 is
-        # 0.25 * 0.09 / 0.3 = 0.075 <= P[Z > 0.15] = 0.3
-        bound = paley_zygmund_bound(0.3, 0.3, 0.5)
-        assert bound == pytest.approx(0.075, rel=1e-12)
-        assert bound <= 0.3
-
-    def test_theta_domain(self):
-        for theta in (-0.1, 1.5):
-            with pytest.raises(ValidationError):
-                paley_zygmund_bound(1.0, 1.0, theta)
-
-    def test_second_moment_domain(self):
-        with pytest.raises(ValidationError):
-            paley_zygmund_bound(1.0, 0.0, 0.5)
-
-
 class TestConnectivityProbabilityBound:
     def test_reference_values(self):
         rep = bound_report(ModelParams(50, 0.05), 50)
@@ -415,7 +393,7 @@ class TestConnectivityProbabilityBound:
     def test_zero_lower_bound_guard(self, monkeypatch):
         # unreachable in exact arithmetic for N >= n_min; the guard keeps a
         # nonpositive mean bound from giving a positive Paley-Zygmund value
-        monkeypatch.setattr(bounds, "_e_lambda2_lower_raw", lambda n, p_hat, q_hat: 0.0)
+        monkeypatch.setattr(bounds, "_e_lambda2_spread", lambda n, p_hat, q_hat: n * p_hat)
         rep = bound_report(ModelParams(50, 0.1), 50)
         assert rep.prob_status == "zero_lower_bound"
         assert rep.prob_lower == 0.0

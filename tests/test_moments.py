@@ -146,7 +146,7 @@ class TestVariances:
     @pytest.mark.parametrize("p", [1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 2.0**-52])
     def test_var2_matches_extended_precision(self, n, p):
         # the closed form of var2 = m4 - m2^2 that the proof of the Var[lambda_2]
-        # lower bound takes (bounds._variance_bounds), against the package's
+        # lower bound takes (in bounds.bound_report), against the package's
         # coefficients at 50 digits
         with mpmath.workdps(50):
             mp = mpmath.mpf(p)

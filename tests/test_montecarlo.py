@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future
@@ -140,6 +141,38 @@ def test_wilson_interval_holds_the_observed_frequency():
             assert lo <= successes / trials <= hi
         assert wilson_interval(0, trials)[0] == 0.0
         assert wilson_interval(trials, trials)[1] == 1.0
+
+
+class TestWorkerFailure:
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_a_failing_worker_stops_the_other(self, monkeypatch, raiser):
+        # 80 chunks of 13 trials on two workers: the worker that does not
+        # raise holds its first chunk until the other has raised, and then
+        # must find no chunk left
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        caller = threading.get_ident()
+        raised = threading.Event()
+        calls = []
+
+        class Boom(Exception):
+            pass
+
+        def failing(trial, pair, present, unions, n):
+            in_caller = threading.get_ident() == caller
+            calls.append(in_caller)
+            if in_caller == (raiser == "caller"):
+                raised.set()
+                raise Boom
+            assert raised.wait(10.0)
+            time.sleep(0.05)  # the raising worker leaves run_chunks meanwhile
+            return np.zeros(unions)
+
+        monkeypatch.setattr(montecarlo, "lambda2s_from_pairs", failing)
+        cfg = McConfig(ModelParams(200, 0.007), num_graphs=4, trials=1040, master_seed=1,
+                       workers=2)
+        with pytest.raises(Boom):
+            run_mc(cfg)
+        assert sorted(calls) == [False, True]
 
 
 class TestDeterminism:
