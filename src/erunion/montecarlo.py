@@ -169,7 +169,6 @@ class McEstimate:
     prob_ge_lambda_min: float
     ci_halfwidths: dict
     trials: int
-    ci_reliable: bool
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -339,7 +338,7 @@ def run_mc(config: McConfig) -> McEstimate:
     conn_hw = (hi - lo) / 2.0
     p_conn = n_conn / trials
     return McEstimate(mean_lambda2=mean, var_lambda2=var, prob_connected=p_conn,
-                      prob_ge_lambda_min=p_conn, trials=trials, ci_reliable=trials > 1,
+                      prob_ge_lambda_min=p_conn, trials=trials,
                       ci_halfwidths={"mean_lambda2": mean_hw, "var_lambda2": var_hw,
                                      "prob_connected": conn_hw, "prob_ge_lambda_min": conn_hw})
 

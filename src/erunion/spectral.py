@@ -41,9 +41,8 @@ EPS_ZERO = 1e-8
 SPECTRAL_N_CEILING = 2000
 
 # matrices of at least this many rows are solved for one eigenvalue by
-# dsyevr, and smaller ones by batched eigvalsh; measured per matrix at
-# p = 0.25 and 0.75, dsyevr is the faster from about n = 36 (ROADMAP,
-# item 15), and the cutoff stays at 56 until a benchmark run moves it
+# dsyevr, and smaller ones by batched eigvalsh; the cutoff stays at 56
+# until a benchmark run moves it (ROADMAP, item 15)
 DSYEVR_MIN_N = 56
 
 # (get, set) thread-count functions: plain OpenBLAS, then numpy wheels' ILP64 build

@@ -219,6 +219,19 @@ class TestMc:
         assert set(est["ci_halfwidths"]) == {"mean_lambda2", "var_lambda2",
                                              "prob_connected", "prob_ge_lambda_min"}
 
+    def test_keys_are_the_documented_schema(self, capsys):
+        # README's "The `mc` JSON schema is stable" sentence lists these keys
+        code, out, _ = run_cli(capsys, "mc", "--n", "6", "--p", "0.3", "--N", "1",
+                               "--trials", "20", "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["config"]) == {"n", "p", "num_graphs", "trials", "master_seed"}
+        assert set(payload["estimate"]) == {"mean_lambda2", "var_lambda2", "prob_connected",
+                                            "prob_ge_lambda_min", "ci_halfwidths", "trials"}
+        assert set(payload["bounds"]) == {
+            "e_lambda2_lower", "e_lambda2_upper", "var_lambda2_lower", "var_lambda2_upper",
+            "lambda_min", "theta", "prob_lower", "prob_status", "n_min"}
+
     def test_identical_json_across_worker_counts(self, capsys):
         args = ["mc", "--n", "12", "--p", "0.3", "--N", "2",
                 "--trials", "2000", "--seed", "42"]
@@ -256,9 +269,11 @@ class TestMc:
         code, out, _ = run_cli(capsys, "mc", "--n", "6", "--p", "0.5", "--N", "1",
                                "--trials", "1", "--seed", "0")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["estimate"]["ci_reliable"] is False
-        assert payload["estimate"]["ci_halfwidths"]["mean_lambda2"] is None
+        est = json.loads(out)["estimate"]
+        assert est["ci_halfwidths"]["mean_lambda2"] is None
+        assert est["ci_halfwidths"]["var_lambda2"] is None
+        assert est["var_lambda2"] == 0.0
+        assert "ci_reliable" not in est
 
     def test_disconnected_union_solved_in_full_has_lambda2_zero(self, capsys):
         # the one union is two disjoint triangles: no node of degree 0, so it

@@ -55,8 +55,9 @@ class TestDegenerateAndErrors:
     def test_single_trial_flags_unreliable_ci(self):
         est = run_mc(McConfig(ModelParams(6, 0.5), 1, trials=1, master_seed=1))
         assert est.trials == 1
-        assert not est.ci_reliable
         assert est.ci_halfwidths["mean_lambda2"] is None
+        assert est.ci_halfwidths["var_lambda2"] is None
+        assert not hasattr(est, "ci_reliable")
         assert est.var_lambda2 == 0.0
         assert math.isfinite(est.mean_lambda2)
 

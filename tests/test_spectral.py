@@ -200,6 +200,15 @@ def _address(function):
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
+def test_numpy_openblas_wheel_resolves_dsyevr_and_thread_controls():
+    # the solver tests skip where either lookup is None, so a numpy wheel that
+    # renamed these symbols would send every solve to eigvalsh without a failure
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy's BLAS is not its own scipy-openblas wheel build")
+    assert spectral._dsyevr() is not None
+    assert spectral._openblas_thread_controls() is not None
+
+
 def test_blas_is_numpy_linalgs_and_found_without_proc_self_maps(monkeypatch):
     # the thread controls and dsyevr are those of the BLAS numpy.linalg
     # calls, found also where /proc/self/maps is hidden (macOS, sandboxes)
