@@ -14,13 +14,14 @@ Every summed quantity (1, tr L^k for k = 1..4, lambda_2, lambda_2^2 and the
 connectivity indicator) and the edge count m = tr L / 2 are functions of the
 Laplacian spectrum, so the table is a sum over spectrum classes, each
 counted once per graph in it: 154 classes, and so 154 lambda_2 solves, for
-the 32,768 graphs on 6 nodes. Graphs are keyed by their traces
-tr L^1 .. tr L^(n-1) (``_spectrum_keys``), and equal keys mean equal spectra:
-L's eigenvalue 0 adds nothing to any power sum, the first n-1 power sums of
-the other n-1 eigenvalues fix them by Newton's identities, and the traces
-are integers below 2^53, so float64 computes them exactly. A class whose
-solved lambda_2 is at most ``EPS_ZERO`` (a disconnected graph's, which the
-solver returns as about +-1e-16) gets lambda_2 = 0 exactly.
+the 32,768 graphs on 6 nodes. Graphs are grouped by a stable sort of their
+trace rows tr L^1 .. tr L^(n-1), and equal traces mean equal spectra: L's
+eigenvalue 0 adds nothing to any power sum, the first n-1 power sums of the
+other n-1 eigenvalues fix them by Newton's identities, and the traces are
+integers below 2^31, so float64 computes them and int32 holds them exactly.
+A class whose solved lambda_2 is at most ``EPS_ZERO`` (a disconnected
+graph's, which the solver returns as about +-1e-16) gets lambda_2 = 0
+exactly.
 
 A graph counts as connected when lambda_2 > ``EPS_ZERO``; by Fiedler's
 theorem these are exactly the graphs with lambda_2 >= lambda_min, so
@@ -28,7 +29,6 @@ theorem these are exactly the graphs with lambda_2 >= lambda_min, so
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,21 +56,6 @@ class ExactReport:
     prob_connected: float
     prob_lambda2_ge_lambda_min: float
     weight_total: float
-
-
-def _spectrum_keys(n: int, traces: np.ndarray) -> np.ndarray:
-    """One int64 per graph packing its traces tr L^1 .. tr L^(n-1) (rows of
-    ``traces``) in mixed radix; equal keys mean equal Laplacian spectra.
-
-    tr L^k is an integer in 0..(n-1) n^k, as L has n-1 eigenvalues besides
-    its zero and all lie in [0, n], so radix (n-1) n^k + 1 holds it.
-    """
-    radices = [(n - 1) * n ** k + 1 for k in range(1, n)]
-    assert math.prod(radices) < 2 ** 63
-    keys = np.zeros(traces.shape[1], dtype=np.int64)
-    for radix, trace in zip(radices[::-1], traces[:n - 1][::-1]):
-        keys = keys * radix + trace.astype(np.int64)
-    return keys
 
 
 def _laplacians(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,18 +87,29 @@ def _structure(n: int) -> np.ndarray:
     (1, tr L^k for k = 1..4, lambda_2, lambda_2^2, connected) over the
     C(M, m) graphs with m edges.
 
-    Graphs are built and keyed ``_SLICE_GRAPHS`` at a time, so the build
-    holds one slice of Laplacians, not all 2^M (22 MB at n = 6). The first
-    graph of each spectrum class is built again and solved, and entry (r, m)
-    is the exact sum, rounded once, of the class's graph count times its
-    row r value over the classes with m edges.
+    Graphs are built ``_SLICE_GRAPHS`` at a time, so the build holds one
+    slice of Laplacians, not all 2^M (22 MB at n = 6), and their traces
+    tr L^1 .. tr L^(n-1) as one int32 row per k: tr L^k <= (n-1) n^k, at
+    most 38,880 at n = 6. A stable sort of the rows groups the graphs into
+    spectrum classes, each led by its lowest mask. That graph is built again
+    and solved, and entry (r, m) is the exact sum, rounded once, of the
+    class's graph count times its row r value over the classes with m edges.
     """
     m = n * (n - 1) // 2
-    keys = np.empty(1 << m, dtype=np.int64)
+    all_traces = np.empty((n - 1, 1 << m), dtype=np.int32)
     for start in range(0, 1 << m, _SLICE_GRAPHS):
         masks = np.arange(start, min(start + _SLICE_GRAPHS, 1 << m), dtype=np.uint32)
-        keys[masks] = _spectrum_keys(n, _laplacians(n, masks)[1])
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        all_traces[:, masks] = _laplacians(n, masks)[1][:n - 1]
+    order = np.lexsort(all_traces)
+    # a class starts where any trace differs from the previous sorted graph's;
+    # one row at a time: diffing every gathered row at once peaks at 4.2 MB at n = 6
+    starts = np.zeros(1 << m, dtype=bool)
+    starts[0] = True
+    for row in all_traces:
+        row = row[order]
+        starts[1:] |= row[1:] != row[:-1]
+    starts = np.flatnonzero(starts)
+    first, counts = order[starts], np.diff(starts, append=1 << m)
     lap, traces = _laplacians(n, first)
     lambda2s = eigenvalue_at(lap, 2)
     # a disconnected graph's lambda_2 is 0 exactly, not the solver's +-1e-16

@@ -185,8 +185,9 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
     solved again by ``eigvalsh``.
     """
     rows = stack.shape[-1]
-    if not 1 <= k <= rows:
-        raise ValidationError(f"k must be in 1..{rows}, got {k!r}")
+    # a bool or a float is no k: dsyevr would truncate it to one
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= rows:
+        raise ValidationError(f"k must be an integer in 1..{rows}, got {k!r}")
     if rows < DSYEVR_MIN_N:
         return np.linalg.eigvalsh(stack)[:, k - 1]
     with one_blas_thread():

@@ -10,7 +10,7 @@ import pytest
 from erunion import (CapabilityError, ModelParams, bound_report, enumerate_exact,
                      exact_union_report, oracle, rng, wilson_interval)
 from erunion.graphs import laplacians_from_pairs, pair_arrays
-from erunion.oracle import _spectrum_keys, _structure
+from erunion.oracle import _structure
 from erunion.spectral import EPS_ZERO, line_graph_lambda_min
 from reference import all_pairs, bitmask_laplacians, edge_masks, per_graph_rows, per_graph_table
 
@@ -202,28 +202,41 @@ class TestSpectrumClasses:
         assert sum(sizes) == solves
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_keys_unpack_to_their_traces(self, n):
-        # any traces 0 <= tr L^k <= (n-1) n^k, the range the key proof needs,
-        # get keys that give them back, so distinct traces never share a key
-        highs = [(n - 1) * n ** k for k in range(1, n)]
-        gen = np.random.default_rng(n)
-        traces = np.array([[0, high, *gen.integers(0, high + 1, 1000)] for high in highs])
-        keys = _spectrum_keys(n, traces.astype(float))
-        for high, trace in zip(highs, traces):
-            keys, digit = np.divmod(keys, high + 1)
-            assert np.array_equal(digit, trace)
-        assert not keys.any()
+    def test_first_graph_of_each_class_is_solved(self, monkeypatch, n):
+        # each class's lowest-mask graph is solved, so the table's bits do not
+        # depend on the order the sort leaves a class's graphs in
+        _, lap = bitmask_laplacians(n)
+        _, first = np.unique(_trace_columns(lap, n), axis=0, return_index=True)
+        stacks, solve = [], oracle.eigenvalue_at
+
+        def recording(stack, k):
+            stacks.append(stack.copy())
+            return solve(stack, k)
+
+        monkeypatch.setattr(oracle, "eigenvalue_at", recording)
+        _structure.cache_clear()
+        _structure(n)
+        solved = np.concatenate(stacks)
+        i, j = np.array(all_pairs(n)).T
+        masks = (solved[:, i, j] != 0) @ (1 << np.arange(len(i)))
+        assert np.array_equal(np.sort(masks), np.sort(first))
+        assert np.array_equal(solved, lap[masks])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_graphs_sharing_a_key_are_cospectral(self, n):
+        # graphs with equal traces tr L^1 .. tr L^(n-1) have equal spectra
         _, lap = bitmask_laplacians(n)
-        traces = np.array([np.trace(np.linalg.matrix_power(lap, k), axis1=1, axis2=2)
-                           for k in range(1, 6)])
-        keys = _spectrum_keys(n, traces)
+        _, group = np.unique(_trace_columns(lap, n), axis=0, return_inverse=True)
         spectra = np.linalg.eigvalsh(lap)
-        for key in np.unique(keys):
-            same = spectra[keys == key]
+        for g in range(group.max() + 1):
+            same = spectra[group.ravel() == g]
             assert np.abs(same - same[0]).max() <= 1e-13
+
+
+def _trace_columns(lap, n):
+    """tr L^1 .. tr L^(n-1) of each Laplacian of a stack, one row per graph."""
+    return np.stack([np.trace(np.linalg.matrix_power(lap, k), axis1=1, axis2=2)
+                     for k in range(1, n)], axis=1)
 
 
 class TestUnionReports:

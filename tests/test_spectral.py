@@ -313,6 +313,16 @@ class TestEigenvalueAt:
         with pytest.raises(ValidationError):
             eigenvalue_at(np.zeros((2, 3, 3)), k)
 
+    @pytest.mark.parametrize("rows", [10, 60])
+    @pytest.mark.parametrize("k", [2.0, 2.7, True])
+    def test_k_other_than_an_integer_rejected(self, rows, k):
+        # on both sides of DSYEVR_MIN_N; numpy integers stay accepted
+        laps = _sampled_laplacians(rows, 2, seed=rows)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            eigenvalue_at(laps.copy(), k)
+        assert np.array_equal(eigenvalue_at(laps.copy(), np.int64(2)),
+                              eigenvalue_at(laps.copy(), 2))
+
     def test_no_convergence_is_solved_again_by_eigvalsh(self):
         # K_n with k = n: this OpenBLAS's dstebz reports INFO = 2 at some of
         # these n and writes one element before IWORK; a corrupted heap
