@@ -134,26 +134,29 @@ def _cmd_mc(args) -> int:
                       master_seed=args.seed, workers=args.workers)
     report = bound_report(params, args.N)  # rejects degenerate inputs before sampling
     if args.dump_graphs is not None:
+        # a path that cannot be a directory fails at once; the directory is
+        # made only after the run, so that a refused run leaves none behind
         outdir = Path(args.dump_graphs)
-        try:  # before the run, so that a path that cannot be a directory fails at once
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"--dump-graphs: {exc}") from exc
+        nearest = next(path for path in (outdir, *outdir.parents) if os.path.exists(path))
+        if not nearest.is_dir():
+            raise ValidationError(f"--dump-graphs: not a directory: {str(nearest)!r}")
     estimate = run_mc(config)
     if args.dump_graphs is not None:
         # trial t's union from the two calls run_mc makes for it; its pairs
         # come ascending, hence in lexicographic order
         p_hat, _ = params.effective_probabilities(args.N)
         a, b = pair_arrays(args.n)
-        for t in range(args.trials):
-            _, pair = rng.rare_pairs(rng.trial_seeds_np(args.seed, t, 1), params.num_pairs, p_hat)
-            if rng.missing_is_rare(p_hat):
-                pair = np.delete(np.arange(params.num_pairs), pair)
-            edges = "".join(f"{i} {j}\n" for i, j in zip(a[pair].tolist(), b[pair].tolist()))
-            try:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for t in range(args.trials):
+                _, pair = rng.rare_pairs(rng.trial_seeds_np(args.seed, t, 1),
+                                         params.num_pairs, p_hat)
+                if rng.missing_is_rare(p_hat):
+                    pair = np.delete(np.arange(params.num_pairs), pair)
+                edges = "".join(f"{i} {j}\n" for i, j in zip(a[pair].tolist(), b[pair].tolist()))
                 (outdir / f"trial_{t:06d}.edges").write_text(f"n={args.n}\n{edges}")
-            except OSError as exc:
-                raise ValidationError(f"--dump-graphs: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(f"--dump-graphs: {exc}") from exc
     # the worker count is an execution detail and is deliberately absent:
     # identical seeds must give identical JSON for any worker count
     payload = {
@@ -255,7 +258,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader of stdout left; what is left to write, the flush at exit
         # included, goes to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValidationError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

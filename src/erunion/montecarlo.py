@@ -210,10 +210,9 @@ def lambda2s_from_pairs(trial: np.ndarray, pair: np.ndarray, present: bool, unio
     depends on its own union alone.
     """
     i, j = pair_arrays(n)
-    a, b = i[pair], j[pair]
     # a listed pair counts once at each of its two nodes
-    listed = (np.bincount(trial * n + a, minlength=unions * n)
-              + np.bincount(trial * n + b, minlength=unions * n)).reshape(-1, n)
+    listed = (np.bincount(trial * n + i[pair], minlength=unions * n)
+              + np.bincount(trial * n + j[pair], minlength=unions * n)).reshape(-1, n)
     # only listed missing pairs take the complement path (module doc), where
     # a node of degree n - 1 lists none; a node of degree 0 lists no present
     # pair, or every missing one
@@ -230,7 +229,7 @@ def lambda2s_from_pairs(trial: np.ndarray, pair: np.ndarray, present: bool, unio
         # each pair's rank in the slice, moved to its union's range
         index = np.arange(len(batch)) + (first[at] - np.cumsum(counts) + counts)[batch]
         values = eigenvalue_at(
-            laplacians_from_pairs(batch, a[index], b[index], present, len(at), n), 2)
+            laplacians_from_pairs(batch, i[pair[index]], j[pair[index]], present, len(at), n), 2)
         # a disconnected union's lambda_2 is 0 exactly, not the solver's +-1e-16
         values[values <= EPS_ZERO] = 0.0
         lambda2s[at] = values
@@ -238,6 +237,7 @@ def lambda2s_from_pairs(trial: np.ndarray, pair: np.ndarray, present: bool, unio
     lambda2s[rows] = n
     if not rows.size:
         return lambda2s
+    a, b = i[pair], j[pair]
     # the listed pairs are the complement's edges; an isolated complement edge
     # has eigenvalues {0, 2}, below the lambda_max >= 3 of any component of 3
     # or more nodes, so S keeps none of them, or when the complement is a

@@ -9,8 +9,10 @@ at once by divide and conquer (``dsyevd`` via ``numpy.linalg.eigvalsh``);
 from there up it finds the one eigenvalue asked for by bisection on the
 tridiagonal matrix (``dsyevr`` with ``RANGE='I'``), one matrix at a time,
 through the ILP64 ``scipy_dsyevr_64_`` of the OpenBLAS that numpy bundles,
-looked up through ``numpy.linalg``'s own extension module. Without that
-symbol (MKL, Accelerate, a distro numpy) every stack goes to ``eigvalsh``.
+looked up through ``numpy.linalg``'s own extension module. Its workspace
+sizes are LAPACK's own, queried once per n and cached; its buffers are
+allocated per call, so no thread keeps any state. Without that symbol
+(MKL, Accelerate, a distro numpy) every stack goes to ``eigvalsh``.
 No other module calls ``numpy.linalg`` or LAPACK. Dense solves are intended
 for n up to :data:`SPECTRAL_N_CEILING`; the analytic modules have none.
 
@@ -87,53 +89,38 @@ def _dsyevr():
     return dsyevr
 
 
-class _DsyevrWorkspace:
-    """One thread's ``dsyevr`` arguments and workspace for n x n matrices.
+@functools.cache
+def _dsyevr_sizes(n: int) -> tuple[int, int]:
+    """LWORK and LIWORK as LAPACK's workspace query gives them at n.
 
-    Its sizes are those LAPACK asks for at n, as the outcome depends on
-    them: on K_100 with k = 100 ``dsyevr`` converges with the sizes for
-    n = 100 and fails with those for n = 300.
+    The outcome depends on them: on K_100 with k = 100 ``dsyevr`` converges
+    with the sizes for n = 100 and fails with those for n = 300.
     """
-
-    def __init__(self, dsyevr, n: int):
-        self.dsyevr, self.n = dsyevr, n
-        # N, LDA, IL, IU, M, LDZ, LWORK, LIWORK, INFO; VL, VU, ABSTOL = 0
-        self.ints = np.array([n, n, 1, 1, 0, 1, -1, -1, 0], dtype=np.int64)
-        self.reals = np.zeros(3)
-        self.w, self.z, self.isuppz = np.empty(n), np.empty(1), np.empty(2, dtype=np.int64)
-        # the workspace query writes the sizes it needs into WORK(1) and IWORK(1)
-        self.work, self.iwork = np.empty(1), np.empty(2, dtype=np.int64)
-        self.solve(None)
-        self.ints[6:8] = int(self.work[0]), self.iwork[1]
-        # dstebz may write IBLOCK(0), the element before IWORK, when it fails
-        # with RANGE='I', so IWORK starts one element into its array
-        self.work, self.iwork = np.empty(self.ints[6]), np.empty(self.ints[7] + 1, dtype=np.int64)
-
-    def solve(self, a: np.ndarray | None, k: int = 1) -> int:
-        """Put the k-th smallest eigenvalue of the n x n C-contiguous ``a`` in
-        ``w[0]``, destroying its upper triangle and diagonal; returns LAPACK's
-        INFO. ``a`` is None for the workspace query."""
-        ints, reals = self.ints.ctypes.data, self.reals.ctypes.data
-        pointer = 0 if a is None else a.ctypes.data
-        self.ints[2:4] = k
-        # a symmetric C-order matrix is its own Fortran-order transpose, so
-        # LAPACK's lower triangle is the C upper one
-        self.dsyevr(b"N", b"I", b"L", ints, pointer, ints + 8, reals, reals + 8, ints + 16,
-                    ints + 24, reals + 16, ints + 32, self.w.ctypes.data, self.z.ctypes.data,
-                    ints + 40, self.isuppz.ctypes.data, self.work.ctypes.data, ints + 48,
-                    self.iwork.ctypes.data + 8, ints + 56, ints + 64, 1, 1, 1)
-        return int(self.ints[8])
+    ints = np.array([n, n, 1, 1, 0, 1, -1, -1, 0, 0, 0], dtype=np.int64)
+    # the query writes the sizes it needs into WORK(1) and IWORK(1)
+    work, iwork = np.empty(1), np.empty(2, dtype=np.int64)
+    _call_dsyevr(_dsyevr(), ints, np.zeros(4), 0, np.empty(n), work, iwork)
+    return int(work[0]), int(iwork[1])
 
 
-_local = threading.local()
+def _call_dsyevr(dsyevr, ints: np.ndarray, reals: np.ndarray, a: int, w: np.ndarray,
+                 work: np.ndarray, iwork: np.ndarray) -> int:
+    """One ``dsyevr`` call for eigenvalue IL = IU of the n x n C-contiguous
+    matrix at address ``a`` (0 for the workspace query); returns LAPACK's INFO.
 
-
-def _workspace(dsyevr, n: int) -> _DsyevrWorkspace:
-    """This thread's ``dsyevr`` workspace for n x n matrices (the last n it solved)."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or ws.n != n or ws.dsyevr is not dsyevr:
-        ws = _local.workspace = _DsyevrWorkspace(dsyevr, n)
-    return ws
+    ``ints`` holds N, LDA, IL, IU, M, LDZ, LWORK, LIWORK, INFO and ISUPPZ(2)
+    as int64, ``reals`` VL, VU, ABSTOL and Z. The eigenvalue lands in
+    ``w[0]``, and the matrix loses its upper triangle and diagonal. IWORK
+    starts one element into ``iwork``: ``dstebz`` may write IBLOCK(0), the
+    element before it, when it fails with RANGE='I'.
+    """
+    i, r = ints.ctypes.data, reals.ctypes.data
+    # a symmetric C-order matrix is its own Fortran-order transpose, so
+    # LAPACK's lower triangle is the C upper one
+    dsyevr(b"N", b"I", b"L", i, a, i + 8, r, r + 8, i + 16, i + 24, r + 16, i + 32,
+           w.ctypes.data, r + 24, i + 40, i + 72, work.ctypes.data, i + 48,
+           iwork.ctypes.data + 8, i + 56, i + 64, 1, 1, 1)
+    return int(ints[8])
 
 
 # the thread count is process-wide: the first of overlapping one_blas_thread
@@ -180,7 +167,9 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
     every solve runs on one BLAS thread, ``eigvalsh``'s too, and with
     ``dsyevr`` each matrix is solved alone and the stack is scratch: a
     C-contiguous matrix is solved in place, which destroys its upper
-    triangle and diagonal, and any other is copied first.
+    triangle and diagonal, and any other is copied first. ``dsyevr``'s
+    workspace takes the sizes LAPACK's query gives, cached per n, and is
+    allocated for the call alone: no thread keeps state between calls.
     A matrix on which LAPACK reports a failure to converge (INFO > 0) is
     solved again by ``eigvalsh``.
     """
@@ -196,12 +185,15 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
             return np.linalg.eigvalsh(stack)[:, k - 1]
         stack = np.asarray(stack, dtype=np.float64)
         values = np.empty(len(stack))
-        ws = _workspace(dsyevr, rows)
+        lwork, liwork = _dsyevr_sizes(rows)
+        ints = np.array([rows, rows, k, k, 0, 1, lwork, liwork, 0, 0, 0], dtype=np.int64)
+        reals = np.zeros(4)
+        w, work, iwork = np.empty(rows), np.empty(lwork), np.empty(liwork + 1, dtype=np.int64)
         for t, a in enumerate(stack):
             if not a.flags.c_contiguous:
                 a = a.copy()
             diagonal = a.diagonal().copy()
-            info = ws.solve(a, k)
+            info = _call_dsyevr(dsyevr, ints, reals, a.ctypes.data, w, work, iwork)
             if info < 0:
                 raise RuntimeError(f"dsyevr rejected argument {-info}")
             if info > 0:
@@ -209,7 +201,7 @@ def eigenvalue_at(stack: np.ndarray, k: int) -> np.ndarray:
                 np.fill_diagonal(a, diagonal)
                 values[t] = np.linalg.eigvalsh(a)[k - 1]
             else:
-                values[t] = ws.w[0]
+                values[t] = w[0]
     return values
 
 

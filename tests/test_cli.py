@@ -365,6 +365,17 @@ class TestMc:
         assert out == ""
         assert err.startswith("error: --dump-graphs: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("n, trials", [("2001", "2"), ("10", "99999999999999999")],
+                             ids=["n-above-ceiling", "trials-beyond-memory"])
+    def test_refused_run_leaves_no_dump_directory(self, capsys, tmp_path, n, trials):
+        outdir = tmp_path / "graphs"
+        code, out, err = run_cli(capsys, "mc", "--n", n, "--p", "0.5", "--N", "1",
+                                 "--trials", trials, "--seed", "1",
+                                 "--dump-graphs", str(outdir))
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+        assert not outdir.exists()
+
     def test_dump_graphs_unwritable_file_is_a_domain_error(self, capsys, tmp_path):
         (tmp_path / "trial_000003.edges").mkdir()
         code, out, err = run_cli(capsys, "mc", "--n", "8", "--p", "0.4", "--N", "2",
@@ -463,3 +474,19 @@ def test_closed_stdout_exits_1_without_a_traceback():
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # in process: each call into a pipe whose reader left points stdout at
+    # the null device, and keeps no descriptor of its own open
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    before = len(list(fds.iterdir()))
+    for _ in range(5):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert main(["tables", "1"]) == 1
+    assert len(list(fds.iterdir())) == before

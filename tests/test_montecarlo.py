@@ -1025,7 +1025,8 @@ class TestDegreeFirstSolve:
         degrees = _degrees(masks, n)
         assert ((degrees > 0) & (degrees < n - 1)).all(axis=1).sum() >= 5
         trial, pair = np.nonzero(masks)
-        # also makes this thread's dsyevr workspace, which outlives the call
+        # also caches LAPACK's dsyevr workspace sizes at n; the call below
+        # allocates the workspace itself and frees it when it returns
         want = lambda2s_from_pairs(trial, pair, True, len(masks), n)
         tracemalloc.start()
         try:

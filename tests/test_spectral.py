@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -291,6 +292,47 @@ class TestEigenvalueAt:
 
         assert solve_in_new_thread([300, 100])[1] == solve_in_new_thread([100])[0]
 
+    @pytest.mark.parametrize("n", [spectral.DSYEVR_MIN_N, 300])
+    def test_a_solve_leaves_no_workspace_behind(self, n):
+        # the sizes are cached per n and the buffers freed with the call, so
+        # a solve in a fresh thread leaves at most a cache entry traced
+        laps = _sampled_laplacians(n, 2, seed=n)
+        left = []
+
+        def solve():
+            tracemalloc.start()
+            try:
+                eigenvalue_at(laps.copy(), 2)
+                left.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+
+        worker = threading.Thread(target=solve)
+        worker.start()
+        worker.join()
+        assert left and left[0] <= 2048
+
+    def test_concurrent_solves_give_the_serial_bits(self):
+        # two threads alternate sizes at once, each in its own order
+        laps = {n: _sampled_laplacians(n, 2, seed=n) for n in (60, 100, 300)}
+        want = {n: eigenvalue_at(lap.copy(), 2) for n, lap in laps.items()}
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def solve(sizes, out):
+            start.wait()
+            out.extend((n, eigenvalue_at(laps[n].copy(), 2)) for n in sizes * 4)
+
+        workers = [threading.Thread(target=solve, args=(sizes, out))
+                   for sizes, out in (((60, 100, 300), got[0]), ((300, 60, 100), got[1]))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert len(got[0]) == len(got[1]) == 12
+        for n, values in got[0] + got[1]:
+            assert np.array_equal(values, want[n]), n
+
     @pytest.mark.parametrize("n", [20, 100, 200])
     def test_without_dsyevr_is_eigvalsh_bit_for_bit(self, monkeypatch, n):
         monkeypatch.setattr(spectral, "_dsyevr", lambda: None)
@@ -344,20 +386,22 @@ class TestEigenvalueAt:
         assert out.stdout == b"ok\n"
 
     def test_info_above_zero_falls_back_to_eigvalsh(self, monkeypatch):
-        # a LAPACK that fails to converge on every matrix, after destroying
-        # the triangle it reads
-        solve = spectral._DsyevrWorkspace.solve
-
-        def failing(self, a, k=1):
-            info = solve(self, a, k)
-            if a is None:
-                return info
-            a[np.triu_indices(len(a))] = np.nan
-            return 2
-
-        if spectral._dsyevr() is None:
+        dsyevr = spectral._dsyevr()
+        if dsyevr is None:
             pytest.skip("numpy's OpenBLAS exports no scipy_dsyevr_64_")
-        monkeypatch.setattr(spectral._DsyevrWorkspace, "solve", failing)
+
+        def failing(*args):
+            # the workspace query (LWORK = -1) succeeds; every solve fails to
+            # converge after destroying the triangle LAPACK reads
+            if ctypes.c_int64.from_address(args[17]).value == -1:
+                return dsyevr(*args)
+            n = ctypes.c_int64.from_address(args[3]).value
+            a = np.ctypeslib.as_array((ctypes.c_double * (n * n)).from_address(args[4]))
+            a.reshape(n, n)[np.triu_indices(n)] = np.nan
+            ctypes.c_int64.from_address(args[20]).value = 2
+            return None
+
+        monkeypatch.setattr(spectral, "_dsyevr", lambda: failing)
         laps = _sampled_laplacians(100, 4, seed=11)
         want = np.linalg.eigvalsh(laps)
         for k in (2, 100):
